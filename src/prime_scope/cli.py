@@ -33,9 +33,9 @@ from .formulas import (
     emit_nu,
     eval_bounded,
     eval_qf,
+    is_qf,
     parse_formula,
     print_formula,
-    _is_qf,
 )
 from .numberfield import KPoly, NumberField, format_element, parse_element
 from .primes import (
@@ -276,7 +276,7 @@ def _h_formula_eval(args, config):
     K = _load_field(args.field)
     tau = PrimeType(args.taue, args.tauf)
     phi = parse_formula(args.formula)
-    if _is_qf(phi):
+    if is_qf(phi):
         return 0, {"value": eval_qf(K, args.p, tau, phi)}, None
     verdict = eval_bounded(K, args.p, tau, phi, config.height_bound)
     return 0, verdict.to_json(), None

@@ -32,15 +32,8 @@ from .errors import (
     ZeroElement,
 )
 from .closure import has_root_in_closure, padic_root
-from .localdata import (
-    _fp_ext_gcd,
-    _ip_add,
-    _ip_divmod_monic,
-    _ip_mod,
-    _ip_mul,
-    _ip_sub,
-    lift_block_factorization,
-)
+from .ffield import bezout_lift, fdivmod, fext_gcd, fmul, fred
+from .localdata import lift_block_factorization
 from .numberfield import (
     FieldElement,
     KPoly,
@@ -143,7 +136,7 @@ def _defining_check(P, g: KPoly, a: FieldElement, x: FieldElement):
 # ---------------------------------------------------------------------------
 
 
-def _ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: bool):
+def ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: bool):
     """Bisect toward a real root of squarefree(g) until |g(x)| <= |a|
     (strict < |a| when ``strict``).  Returns (x, steps).
 
@@ -201,7 +194,7 @@ def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> Witness
         raise NoRootInClosure(f"g has no root in the closure at {P!r}")
 
     if isinstance(P, Ordering):
-        x, steps = _ordering_witness(P, g, a, config.precision_cap, strict=False)
+        x, steps = ordering_witness(P, g, a, config.precision_cap, strict=False)
         bound = config.precision_cap
     else:
         k = max(1, valuation(P, a))
@@ -218,43 +211,34 @@ def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> Witness
 # ---------------------------------------------------------------------------
 
 
-def _bezout_mod_pN(F: list[int], C: list[int], p: int, N: int):
-    """u, w with u*F + w*C = 1 mod p^N, for F, C monic and coprime mod p."""
-    g, s, t = _fp_ext_gcd(_ip_mod(F, p), _ip_mod(C, p), p)
-    if list(g) != [1]:
-        raise AssertionError("block factors are not coprime mod p")
-    u, w, m = list(s), list(t), p
-    while m < p**N:
-        m = min(m * m, p**N)
-        # e = 1 - uF - wC vanishes mod the previous modulus; one Newton step
-        # squares the precision, then u is reduced mod C to keep degrees flat.
-        e = _ip_sub([1], _ip_add(_ip_mul(u, F, m), _ip_mul(w, C, m), m), m)
-        u = _ip_mul(u, _ip_add([1], e, m), m)
-        w = _ip_mul(w, _ip_add([1], e, m), m)
-        q, u = _ip_divmod_monic(u, C, m)
-        w = _ip_mod(_ip_add(w, _ip_mul(q, F, m), m), m)
-    assert _ip_sub(_ip_add(_ip_mul(u, F, p**N), _ip_mul(w, C, p**N), p**N), [1], p**N) == []
-    return u, w
-
-
 def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
     """eps_j with v(eps_j - 1) >= N*e at the j-th prime above p and
-    v(eps_j) >= N*e at every other prime above p."""
+    v(eps_j) >= N*e at every other prime above p.
+
+    eps_j = w*C mod f, where C is the product of the other block lifts and
+    u*F + w*C = 1 mod p^N with F the j-th block lift: the Bezout pair over F_p
+    is lifted by Newton steps, each squaring the precision."""
     blocks = lift_block_factorization(K.poly, p, N)
-    f_ints = [int(c) for c in K.poly.coeffs]
     mod = p**N
+    f_mod = fred([int(c) for c in K.poly.coeffs], mod)
     out = []
     for j in range(len(blocks)):
         if len(blocks) == 1:
             out.append(K.one())
             continue
         F = blocks[j][2]
-        C = [1]
+        C = (1,)
         for i, blk in enumerate(blocks):
             if i != j:
-                C = _ip_mul(C, blk[2], mod)
-        _, w = _bezout_mod_pN(F, C, p, N)
-        _, eps = _ip_divmod_monic(_ip_mul(w, C, mod), f_ints, mod)
+                C = fmul(C, blk[2], mod)
+        g, u, w = fext_gcd(fred(F, p), fred(C, p), p)
+        if g != (1,):
+            raise AssertionError("block factors are not coprime mod p")
+        m = p
+        while m < mod:
+            m = min(m * m, mod)
+            u, w = bezout_lift(fred(F, m), fred(C, m), u, w, m)
+        _, eps = fdivmod(fmul(w, C, mod), f_mod, mod)
         out.append(K.element([Fraction(c) for c in eps] + [Fraction(0)] * (K.degree - len(eps))))
     return out
 
@@ -320,16 +304,16 @@ def weak_approx_value(K: NumberField, parts, config: Config = DEFAULT) -> FieldE
     N = max(2, max(shifted.values()) + 1)
 
     blocks = lift_block_factorization(K.poly, p, N)
-    f_ints = [int(c) for c in K.poly.coeffs]
     mod = p**N
+    f_mod = fred([int(c) for c in K.poly.coeffs], mod)
     acc = K.zero()
     for P in primes:
         j = P.index
-        C = [1]
+        C = (1,)
         for i, blk in enumerate(blocks):
             if i != j:
-                C = _ip_mul(C, blk[2], mod)
-        _, C = _ip_divmod_monic(C, f_ints, mod)
+                C = fmul(C, blk[2], mod)
+        _, C = fdivmod(C, f_mod, mod)
         cj = K.element([Fraction(c) for c in C] + [Fraction(0)] * (K.degree - len(C)))
         acc = acc + cj * P.uniformizer ** shifted.get(j, 0)
     z = _nearest_multiple_reduce(acc, mod) * K.rational(Fraction(1, p**M_shift))
@@ -483,7 +467,7 @@ def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DE
     total_steps = 0
     for P in S_g:
         if isinstance(P, Ordering):
-            x_p, st = _ordering_witness(P, g, a, config.precision_cap, strict=True)
+            x_p, st = ordering_witness(P, g, a, config.precision_cap, strict=True)
             balls.append(Ball(P, K.zero(), a))
             total_steps += st
         else:

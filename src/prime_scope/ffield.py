@@ -1,8 +1,13 @@
-"""Finite fields F_{p^f} and polynomial factorization over F_p.
+"""Finite fields F_{p^f}, polynomial arithmetic mod p^k, and polynomial
+factorization over F_p.
 
-Prime-field polynomials are int tuples, lowest degree first, coefficients in
-[0, p), trailing zeros stripped.  Extension-field elements are coefficient
-tuples of length f modulo a canonical irreducible polynomial.
+Polynomials are int tuples, lowest degree first, coefficients in [0, m),
+trailing zeros stripped.  The kernel ``ftrim``/``fadd``/``fsub``/``fmul``/
+``fdivmod``/``fmonic`` is valid modulo any m = p^k: it needs inputs already
+reduced into [0, m) (``fred`` does that once where raw integers enter), and a
+divisor or a polynomial made monic must have a unit leading coefficient, which
+over F_p means nonzero and mod p^k means prime to p.  Extension-field elements
+are coefficient tuples of length f modulo a canonical irreducible polynomial.
 
 Factorization is squarefree split + distinct-degree + equal-degree
 (Cantor-Zassenhaus), with the equal-degree randomness drawn from a PRNG
@@ -16,14 +21,47 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotPIntegral, ZeroElement
+from .errors import NotPIntegral, Unsupported, ZeroElement
 from .qpoly import QPoly
 
 FPoly = tuple[int, ...]
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this limit
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the primes up to 37 alone are proven only below 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality; Unsupported at and above the range where the
+    fixed Miller-Rabin bases are proven exact."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise Unsupported(f"primality of {n} is decided only below {_MR_LIMIT}")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 # ---------------------------------------------------------------------------
-# polynomial arithmetic over F_p
+# polynomial arithmetic mod m = p^k
 # ---------------------------------------------------------------------------
 
 def ftrim(c: Sequence[int]) -> FPoly:
@@ -33,43 +71,48 @@ def ftrim(c: Sequence[int]) -> FPoly:
     return tuple(c)
 
 
-def fadd(a: FPoly, b: FPoly, p: int) -> FPoly:
+def fred(a: Sequence[int], m: int) -> FPoly:
+    """Arbitrary integer coefficients reduced into the kernel's form mod m."""
+    return ftrim([c % m for c in a])
+
+
+def fadd(a: FPoly, b: FPoly, m: int) -> FPoly:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
+        out[i] = (out[i] + v) % m
     return ftrim(out)
 
 
-def fneg(a: FPoly, p: int) -> FPoly:
-    return tuple((-v) % p for v in a)
+def fneg(a: FPoly, m: int) -> FPoly:
+    return tuple((-v) % m for v in a)
 
 
-def fsub(a: FPoly, b: FPoly, p: int) -> FPoly:
-    return fadd(a, fneg(b, p), p)
+def fsub(a: FPoly, b: FPoly, m: int) -> FPoly:
+    return fadd(a, fneg(b, m), m)
 
 
-def fmul(a: FPoly, b: FPoly, p: int) -> FPoly:
+def fmul(a: FPoly, b: FPoly, m: int) -> FPoly:
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, va in enumerate(a):
         if va:
             for j, vb in enumerate(b):
-                out[i + j] = (out[i + j] + va * vb) % p
+                out[i + j] = (out[i + j] + va * vb) % m
     return ftrim(out)
 
 
-def fscale(a: FPoly, c: int, p: int) -> FPoly:
-    c %= p
-    return ftrim([v * c % p for v in a])
+def fscale(a: FPoly, c: int, m: int) -> FPoly:
+    c %= m
+    return ftrim([v * c % m for v in a])
 
 
-def fdivmod(a: FPoly, b: FPoly, p: int) -> tuple[FPoly, FPoly]:
+def fdivmod(a: FPoly, b: FPoly, m: int) -> tuple[FPoly, FPoly]:
     if not b:
         raise ZeroDivisionError
-    inv = pow(b[-1], p - 2, p)
+    inv = pow(b[-1], -1, m)
     rem = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     while len(rem) >= len(b):
@@ -77,10 +120,10 @@ def fdivmod(a: FPoly, b: FPoly, p: int) -> tuple[FPoly, FPoly]:
             rem.pop()
             continue
         k = len(rem) - len(b)
-        f = rem[-1] * inv % p
+        f = rem[-1] * inv % m
         q[k] = f
         for i, v in enumerate(b):
-            rem[k + i] = (rem[k + i] - f * v) % p
+            rem[k + i] = (rem[k + i] - f * v) % m
         rem.pop()
     return ftrim(q), ftrim(rem)
 
@@ -89,16 +132,48 @@ def fmod(a: FPoly, b: FPoly, p: int) -> FPoly:
     return fdivmod(a, b, p)[1]
 
 
-def fmonic(a: FPoly, p: int) -> FPoly:
+def fmonic(a: FPoly, m: int) -> FPoly:
     if not a:
         return a
-    return fscale(a, pow(a[-1], p - 2, p), p)
+    return fscale(a, pow(a[-1], -1, m), m)
 
 
 def fgcd(a: FPoly, b: FPoly, p: int) -> FPoly:
     while b:
         a, b = b, fmod(a, b, p)
     return fmonic(a, p)
+
+
+def fext_gcd(a: FPoly, b: FPoly, p: int) -> tuple[FPoly, FPoly, FPoly]:
+    """(g, s, t) with s*a + t*b = g = monic gcd, over F_p."""
+    r0, r1 = a, b
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = fdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fsub(s0, fmul(q, s1, p), p)
+        t0, t1 = t1, fsub(t0, fmul(q, t1, p), p)
+    if not r0:
+        return (), s0, t0
+    inv = pow(r0[-1], -1, p)
+    return fmonic(r0, p), fscale(s0, inv, p), fscale(t0, inv, p)
+
+
+def bezout_lift(g: FPoly, h: FPoly, s: FPoly, t: FPoly, m: int) -> tuple[FPoly, FPoly]:
+    """One Newton step on the Bezout identity of monic g, h: from
+    s*g + t*h = 1 modulo some m0 with m | m0^2 to the same identity mod m.
+
+    With b = s*g + t*h - 1 (so b = 0 mod m0), the pair (s*(1 - b), t*(1 - b))
+    gives 1 - b^2 = 1 mod m; reducing the first entry mod h, s*b = c*h + d,
+    and moving c*g onto the second keeps deg s < deg h without changing the
+    sum.  With those degrees the pair is unique mod m."""
+    b = fsub(fadd(fmul(s, g, m), fmul(t, h, m), m), (1,), m)
+    c, d = fdivmod(fmul(s, b, m), h, m)
+    s2 = fsub(s, d, m)
+    t2 = fsub(fsub(t, fmul(t, b, m), m), fmul(c, g, m), m)
+    assert fadd(fmul(s2, g, m), fmul(t2, h, m), m) == (1,), "bezout lift failed"
+    return s2, t2
 
 
 def fpowmod(a: FPoly, e: int, m: FPoly, p: int) -> FPoly:
@@ -110,13 +185,6 @@ def fpowmod(a: FPoly, e: int, m: FPoly, p: int) -> FPoly:
         a = fmod(fmul(a, a, p), m, p)
         e >>= 1
     return result
-
-
-def feval(a: FPoly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def fderiv(a: FPoly, p: int) -> FPoly:
@@ -301,6 +369,8 @@ class FF:
     def __new__(cls, p: int, f: int):
         key = (p, f)
         if key not in cls._cache:
+            if not is_prime(p):
+                raise ValueError(f"not a rational prime: {p}")
             obj = super().__new__(cls)
             obj.p, obj.f = p, f
             obj.modulus = ftrim([int(c) for c in irreducible_poly(p, f).coeffs])

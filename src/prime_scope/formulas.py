@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .errors import FormulaSyntaxError, InverseOfZero, Unsupported
-from .ffield import is_irreducible
+from .ffield import is_irreducible, is_prime
 from .numberfield import FieldElement, NumberField, elements_by_height
 from .primes import PrimeType, holomorphy_member, is_infinite_place, primes_of_type
 from .qpoly import QPoly
@@ -399,10 +399,9 @@ class MPoly:
 
 def _least_prime_above(n: int) -> int:
     k = n + 1
-    while True:
-        if k > 1 and all(k % d for d in range(2, int(math.isqrt(k)) + 1)):
-            return k
+    while not is_prime(k):
         k += 1
+    return k
 
 
 def rootless_poly(p: int, f_abs: int) -> QPoly:
@@ -410,6 +409,8 @@ def rootless_poly(p: int, f_abs: int) -> QPoly:
     lifts in [0,p)) of the least prime degree > f_abs that is irreducible mod
     p.  Prime degree l > f_abs makes its roots generate F_{p^l}, which meets
     F_{p^f_abs} only in F_p, so the reduction has no zero there."""
+    if not is_prime(p):
+        raise ValueError(f"not a rational prime: {p}")
     ell = _least_prime_above(f_abs)
     # (c_0, c_1, ..., c_{l-1}) lexicographically ascending: the constant
     # coefficient is the most significant digit of the counter
@@ -608,17 +609,18 @@ class EvalVerdict:
         return f"EvalVerdict({self.status}{extra})"
 
 
-def _is_qf(phi: Formula) -> bool:
+def is_qf(phi: Formula) -> bool:
+    """True when phi contains no quantifier."""
     if isinstance(phi, (FAll, FEx)):
         return False
     if isinstance(phi, (FEq, FR)):
         return True
     if isinstance(phi, FNot):
-        return _is_qf(phi.f)
+        return is_qf(phi.f)
     if isinstance(phi, (FAnd, FOr)):
-        return all(_is_qf(g) for g in phi.args)
+        return all(is_qf(g) for g in phi.args)
     if isinstance(phi, FImp):
-        return _is_qf(phi.a) and _is_qf(phi.b)
+        return is_qf(phi.a) and is_qf(phi.b)
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -636,7 +638,7 @@ def eval_bounded(
     r_member = lambda x: holomorphy_member(K, p, tau, x)
 
     def rec(f: Formula, env: dict) -> EvalVerdict:
-        if _is_qf(f):
+        if is_qf(f):
             try:
                 ok = _eval_qf(K, f, env, r_member)
             except InverseOfZero:

@@ -2,10 +2,11 @@
 the block factorization f = prod h_i^{e_i} to prime-power precision, and the
 residue-field embedding data used by valuations and residue maps.
 
-Everything here works on monic integer polynomials (lists of ints, lowest
-degree first) with coefficients reduced into [0, m).  All lifts carry exact
-congruence certificates; asserts reverify the defining identities at each
-doubling step, so a lift that returns is correct by construction.
+Everything here works on monic integer polynomials in the ``ffield`` kernel's
+form (int tuples, lowest degree first) with coefficients reduced into [0, m).
+All lifts carry exact congruence certificates; asserts reverify the defining
+identities at each doubling step, so a lift that returns is correct by
+construction.
 """
 
 from __future__ import annotations
@@ -16,70 +17,19 @@ from .errors import ZeroElement
 from .ffield import (
     FF,
     FFElem,
+    bezout_lift,
+    fadd,
     fdivmod,
-    fmonic,
+    fext_gcd,
+    fgcd,
     fmul,
+    fred,
     fsub,
     ftrim,
     poly_factor_mod_p,
     reduce_qpoly_mod_p,
 )
 from .qpoly import QPoly
-
-# ---------------------------------------------------------------------------
-# integer polynomials modulo m (ascending coefficient lists)
-# ---------------------------------------------------------------------------
-
-def _ip_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ip_mod(a, m: int) -> list[int]:
-    return _ip_trim([c % m for c in a])
-
-
-def _ip_add(a, b, m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _ip_trim(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    )
-
-
-def _ip_sub(a, b, m: int) -> list[int]:
-    n = max(len(a), len(b))
-    return _ip_trim(
-        [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)]
-    )
-
-
-def _ip_mul(a, b, m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % m
-    return _ip_trim(out)
-
-
-def _ip_divmod_monic(a, b, m: int) -> tuple[list[int], list[int]]:
-    """Divide by a monic b; valid over Z/m because the leading coeff is 1."""
-    assert b and b[-1] % m == 1
-    a = [c % m for c in a]
-    db = len(b) - 1
-    q = [0] * max(0, len(a) - db)
-    while len(_ip_trim(a)) - 1 >= db:
-        k = len(a) - 1 - db
-        c = a[-1]
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] = (a[k + i] - c * cb) % m
-        a.pop()
-    return _ip_trim(q), _ip_trim(a)
 
 
 def _as_ints(f: QPoly) -> list[int]:
@@ -92,33 +42,13 @@ def _as_ints(f: QPoly) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# extended euclid over F_p
-# ---------------------------------------------------------------------------
-
-def _fp_ext_gcd(a, b, p: int):
-    """(g, s, t) with s*a + t*b = g = monic gcd, over F_p."""
-    r0, r1 = ftrim(list(a)), ftrim(list(b))
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = fdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fsub(s0, fmul(q, s1, p), p)
-        t0, t1 = t1, fsub(t0, fmul(q, t1, p), p)
-    if not r0:
-        return (), s0, t0
-    inv = pow(r0[-1], -1, p)
-    scale = lambda u: tuple((c * inv) % p for c in u)
-    return fmonic(r0, p), scale(s0), scale(t0)
-
-
-# ---------------------------------------------------------------------------
 # quadratic Hensel lifting of a coprime pair
 # ---------------------------------------------------------------------------
 
 def _hensel_pair_step(f, g, h, s, t, m: int, mm: int):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the same
-    identities mod mm, where m | mm | m^2; g, h stay monic of fixed degree.
+    identities mod mm, where m | mm | m^2; g, h stay monic of fixed degree and
+    f is reduced mod mm.
 
     The correction terms live at low degree: writing e = f - g*h and
     s*e = q*h + r, the update (g + t*e + q*g, h + r) multiplies back to f
@@ -126,37 +56,29 @@ def _hensel_pair_step(f, g, h, s, t, m: int, mm: int):
     coefficients of the g-update above deg g cancel since the product is
     monic of degree deg f.  Capping at mm matters when f itself is only known
     to that precision, as happens for peeled cofactors."""
-    assert not _ip_sub(f, _ip_mul(g, h, m), m), "input factorization invalid"
-    e = _ip_sub(f, _ip_mul(g, h, mm), mm)
-    q, r = _ip_divmod_monic(_ip_mul(s, e, mm), h, mm)
-    g2 = _ip_add(g, _ip_add(_ip_mul(t, e, mm), _ip_mul(q, g, mm), mm), mm)
-    h2 = _ip_add(h, r, mm)
+    e = fsub(f, fmul(g, h, mm), mm)
+    assert all(c % m == 0 for c in e), "input factorization invalid"
+    q, r = fdivmod(fmul(s, e, mm), h, mm)
+    g2 = fadd(g, fadd(fmul(t, e, mm), fmul(q, g, mm), mm), mm)
+    h2 = fadd(h, r, mm)
     assert len(g2) == len(g) and g2[-1] == 1, "factor lift lost monicity"
     assert len(h2) == len(h) and h2[-1] == 1
-    assert not _ip_sub(f, _ip_mul(g2, h2, mm), mm), "factor lift broke product"
-    # refresh the bezout pair for the next round
-    b = _ip_sub(_ip_add(_ip_mul(s, g2, mm), _ip_mul(t, h2, mm), mm), [1], mm)
-    c, d = _ip_divmod_monic(_ip_mul(s, b, mm), h2, mm)
-    s2 = _ip_sub(s, d, mm)
-    t2 = _ip_sub(_ip_sub(t, _ip_mul(t, b, mm), mm), _ip_mul(c, g2, mm), mm)
-    chk = _ip_sub(_ip_add(_ip_mul(s2, g2, mm), _ip_mul(t2, h2, mm), mm), [1], mm)
-    assert not chk, "bezout refresh failed"
+    assert not fsub(f, fmul(g2, h2, mm), mm), "factor lift broke product"
+    s2, t2 = bezout_lift(g2, h2, s, t, mm)
     return g2, h2, s2, t2
 
 
-def _lift_pair(f_ints, gbar, hbar, p: int, N: int):
+def _lift_pair(f, gbar, hbar, p: int, N: int):
     """Lift the coprime factorization f = gbar*hbar (mod p) to mod p^N.
     Returns (G, H) monic integer polynomials with f = G*H (mod p^N)."""
-    _, s, t = _fp_ext_gcd(gbar, hbar, p)
-    g = [c % p for c in gbar]
-    h = [c % p for c in hbar]
-    s, t = list(s), list(t)
+    _, s, t = fext_gcd(gbar, hbar, p)
+    g, h = gbar, hbar
     k = 1
     while k < N:
         k_next = min(2 * k, N)
-        g, h, s, t = _hensel_pair_step(f_ints, g, h, s, t, p**k, p**k_next)
+        g, h, s, t = _hensel_pair_step(fred(f, p**k_next), g, h, s, t, p**k, p**k_next)
         k = k_next
-    return _ip_mod(g, p**N), _ip_mod(h, p**N)
+    return g, h
 
 
 def lift_block_factorization(f: QPoly, p: int, N: int):
@@ -166,8 +88,8 @@ def lift_block_factorization(f: QPoly, p: int, N: int):
     Returns a list of (hbar_i, e_i, F_i), sorted by the canonical factor order
     (degree, then coefficients of hbar_i), where hbar_i is the mod-p
     irreducible (tuple over F_p), e_i its multiplicity, and F_i the block lift
-    as an integer coefficient list with prod F_i = f (mod p^N)."""
-    f_ints = _as_ints(f)
+    as an integer coefficient tuple with prod F_i = f (mod p^N)."""
+    rem = fred(_as_ints(f), p**N)
     factors = poly_factor_mod_p(f, p)  # canonical order already
     blocks = []
     for hq, e in factors:
@@ -175,21 +97,17 @@ def lift_block_factorization(f: QPoly, p: int, N: int):
         blk = hbar
         for _ in range(e - 1):
             blk = fmul(blk, hbar, p)
-        blocks.append((hbar, e, list(blk)))
-    M = p**N
+        blocks.append((hbar, e, blk))
     out = []
-    rem = [c % M for c in f_ints]
-    rem_bar = [tuple(b[2]) for b in blocks]
     for i, (hbar, e, blk) in enumerate(blocks):
         if i == len(blocks) - 1:
-            out.append((hbar, e, _ip_trim(rem)))
+            out.append((hbar, e, rem))
             break
         cof = (1,)
-        for other in rem_bar[i + 1 :]:
-            cof = fmul(cof, other, p)
-        G, H = _lift_pair(_ip_mod(rem, M), blk, list(cof), p, N)
+        for other in blocks[i + 1 :]:
+            cof = fmul(cof, other[2], p)
+        G, rem = _lift_pair(rem, blk, cof, p, N)
         out.append((hbar, e, G))
-        rem = H
     return out
 
 
@@ -203,35 +121,18 @@ def dedekind_applies(f: QPoly, p: int) -> bool:
     Criterion: with fbar = prod hbar_i^{e_i}, g = prod h_i (monic lifts),
     h = a monic lift of fbar/gbar, and T = (g*h - f)/p over Z, the reduction
     works iff gcd(Tbar, gbar, hbar/gbar-part) = 1 in F_p[X].  Concretely we
-    test gcd(Tbar, gbar, fbar/gbar) = 1."""
+    test gcd(Tbar, gbar, fbar/gbar) = 1.  Tbar only needs g*h - f mod p^2,
+    with g, h lifted by their coefficients in [0, p)."""
     f_ints = _as_ints(f)
-    factors = poly_factor_mod_p(f, p)
     gbar = (1,)
-    for hq, _e in factors:
+    for hq, _e in poly_factor_mod_p(f, p):
         gbar = fmul(gbar, reduce_qpoly_mod_p(hq, p), p)
-    fbar = ftrim([c % p for c in f_ints])
-    hbar, r = fdivmod(fbar, gbar, p)
+    hbar, r = fdivmod(fred(f_ints, p), gbar, p)
     assert not r
-    g_lift = [c % p for c in gbar]
-    h_lift = [c % p for c in hbar]
-    prod = [0] * (len(g_lift) + len(h_lift) - 1)
-    for i, ca in enumerate(g_lift):
-        for j, cb in enumerate(h_lift):
-            prod[i + j] += ca * cb
-    n = max(len(prod), len(f_ints))
-    T = []
-    for i in range(n):
-        a = prod[i] if i < len(prod) else 0
-        b = f_ints[i] if i < len(f_ints) else 0
-        d, rr = divmod(a - b, p)
-        assert rr == 0, "g*h != f mod p, factorization broken"
-        T.append(d)
-    Tbar = ftrim([c % p for c in T])
-    from .ffield import fgcd
-
-    d1 = fgcd(Tbar, gbar, p)
-    d2 = fgcd(d1, hbar, p)
-    return len(d2) == 1
+    T = fsub(fmul(gbar, hbar, p * p), fred(f_ints, p * p), p * p)
+    assert all(c % p == 0 for c in T), "g*h != f mod p, factorization broken"
+    Tbar = ftrim([c // p for c in T])
+    return fgcd(fgcd(Tbar, gbar, p), hbar, p) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +143,12 @@ def _gf_trim(a: list[FFElem]) -> list[FFElem]:
     while a and a[-1].is_zero:
         a.pop()
     return a
+
+
+def _gf_sub(a: list[FFElem], b: list[FFElem], field: FF) -> list[FFElem]:
+    z = field.zero()
+    n = max(len(a), len(b))
+    return _gf_trim([(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)])
 
 
 def _gf_divmod(a: list[FFElem], b: list[FFElem], field: FF):
@@ -302,14 +209,7 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     # keep only the part splitting over this field
     q = field.p**field.f
     xq = _gf_powmod([field.zero(), field.one()], q, h, field)
-    xq_minus_x = _gf_trim(
-        [
-            (xq[i] if i < len(xq) else field.zero())
-            - ([field.zero(), field.one()][i] if i < 2 else field.zero())
-            for i in range(max(len(xq), 2))
-        ]
-    )
-    h = _gf_gcd(h, xq_minus_x, field)
+    h = _gf_gcd(h, _gf_sub(xq, [field.zero(), field.one()], field), field)
     roots: list[FFElem] = []
 
     def split(g):
@@ -319,7 +219,8 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
             roots.append(-g[0] * g[1].inverse())
             return
         if field.p == 2:
-            # trace map splitter: T(c*(Y)) for successive c
+            # trace map splitter: T(c*(Y)) for successive c; the trace is a
+            # sum, and in characteristic 2 subtracting a term adds it
             total_bits = field.f  # q = 2^f
             for a in field.elements():
                 if a.is_zero:
@@ -327,13 +228,7 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
                 acc = [field.zero()]
                 term = _gf_divmod([field.zero(), a], g, field)[1]
                 for _ in range(total_bits):
-                    acc = _gf_trim(
-                        [
-                            (acc[i] if i < len(acc) else field.zero())
-                            + (term[i] if i < len(term) else field.zero())
-                            for i in range(max(len(acc), len(term)))
-                        ]
-                    )
+                    acc = _gf_sub(acc, term, field)
                     term = _gf_mulmod(term, term, g, field)
                 d = _gf_gcd(g, acc, field)
                 if 0 < len(d) - 1 < len(g) - 1:
@@ -343,14 +238,7 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
             raise AssertionError("trace splitter exhausted the field")
         for a in field.elements():
             w = _gf_powmod([a, field.one()], (q - 1) // 2, g, field)
-            w = _gf_trim(
-                [
-                    (w[i] if i < len(w) else field.zero())
-                    - ([field.one()][i] if i < 1 else field.zero())
-                    for i in range(max(len(w), 1))
-                ]
-            )
-            d = _gf_gcd(g, w, field)
+            d = _gf_gcd(g, _gf_sub(w, [field.one()], field), field)
             if 0 < len(d) - 1 < len(g) - 1:
                 split(d)
                 split(_gf_divmod(g, d, field)[0])

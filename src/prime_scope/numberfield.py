@@ -22,7 +22,7 @@ from .errors import (
     UncertifiedIrreducibility,
 )
 from .ffield import is_irreducible, reduce_qpoly_mod_p
-from .qpoly import QPoly, format_poly, parse_poly, rationals_by_height
+from .qpoly import QPoly, format_poly, parse_poly, rationals_by_height, sign_changes, sturm_sequence
 
 _SMALL_PRIMES: list[int] = []
 
@@ -417,11 +417,6 @@ class Ordering:
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self._lo, self._hi)
 
-    def refined(self) -> "Ordering":
-        """A new Ordering with the interval bisected once."""
-        lo, hi = _refine_once(self.field.poly, self._lo, self._hi)
-        return Ordering(self.field, self.index, lo, hi)
-
     def sign(self, x: FieldElement) -> int:
         """Exact sign of x under this embedding: -1, 0, or 1."""
         if x.is_zero:
@@ -436,7 +431,7 @@ class Ordering:
         # x = g(root); nonzero since f is irreducible and deg g < deg f.
         # shrink the interval until g has no root inside and no root at the
         # endpoints; then the sign is constant on the interval.
-        seq = g.sturm_sequence()
+        seq = sturm_sequence(g)
         lo, hi = self._lo, self._hi
         while True:
             if g(lo) != 0 and g(hi) != 0:
@@ -485,10 +480,6 @@ def nf_create(poly: QPoly | str) -> NumberField:
     if isinstance(poly, str):
         poly = parse_poly(poly)
     return NumberField(poly)
-
-
-def nf_inv(x: FieldElement) -> FieldElement:
-    return x.inverse()
 
 
 def real_embeddings(field: NumberField) -> list[Ordering]:
@@ -671,20 +662,12 @@ class KPoly:
         return acc
 
     # --- real-root counting relative to an ordering ------------------------
-    def sturm_sequence(self) -> list["KPoly"]:
-        p0 = self.squarefree_part()
-        seq = [p0, p0.derivative()]
-        while not seq[-1].is_zero:
-            seq.append(-(seq[-2] % seq[-1]))
-        seq.pop()
-        return seq
-
     def count_roots_in_ordering(
         self, P: Ordering, lo: Fraction | None, hi: Fraction | None
     ) -> int:
         """Distinct roots (in the real closure at P) in (lo, hi]; None means
         the corresponding infinity."""
-        seq = self.sturm_sequence()
+        seq = sturm_sequence(self)
 
         def var_at(x: Fraction | None, plus: bool) -> int:
             signs = []
@@ -696,14 +679,7 @@ class KPoly:
                 else:
                     s = P.sign(p.eval_fraction(x))
                 signs.append(s)
-            n, prev = 0, 0
-            for s in signs:
-                if s == 0:
-                    continue
-                if prev and s != prev:
-                    n += 1
-                prev = s
-            return n
+            return sign_changes(signs)
 
         return var_at(lo, plus=False if lo is None else True) - var_at(
             hi, plus=True if hi is None else True

@@ -22,10 +22,9 @@ from .errors import (
     PrecisionOverflow,
     Unsupported,
 )
-from .ffield import FFElem, ff_is_square, irreducible_poly
+from .ffield import FFElem, fdivmod, ff_is_square, fred, irreducible_poly, is_prime
 from .localdata import (
     ResidueEmbedding,
-    _ip_divmod_monic,
     dedekind_applies,
     lift_block_factorization,
     vp_fraction,
@@ -82,7 +81,7 @@ class PValuation:
         self.hbar = hbar
         self.e = e
         self.f = len(hbar) - 1
-        self._lift_cache: dict[int, list[int]] = {}
+        self._lift_cache: dict[int, tuple[int, ...]] = {}
         self._embedding: ResidueEmbedding | None = None
         if e == 1:
             self.uniformizer = field.rational(p)
@@ -100,7 +99,7 @@ class PValuation:
         """Defining polynomial of the canonical residue field F_{p^f}."""
         return irreducible_poly(self.p, self.f)
 
-    def block(self, N: int) -> list[int]:
+    def block(self, N: int) -> tuple[int, ...]:
         """The Hensel lift of hbar^e as an exact factor of f modulo p^N."""
         if N not in self._lift_cache:
             lifted = lift_block_factorization(self.field.poly, self.p, N)
@@ -158,7 +157,7 @@ class PValuation:
         N = max(16, M_exp)
         F = self.block(N)
         mod = p**M_exp
-        _, rem = _ip_divmod_monic([c % mod for c in H], [c % mod for c in F], mod)
+        _, rem = fdivmod(fred(H, mod), fred(F, mod), mod)
         digits = []
         for c in rem:
             q, r = divmod(c % mod, p**k)
@@ -205,7 +204,7 @@ class PValuation:
 def primes_above(K: NumberField, p: int) -> list[PValuation]:
     """All primes of K above p, sorted canonically by their mod-p factor
     (degree, then coefficients); index positions are stable API."""
-    if not isinstance(p, int) or p < 2:
+    if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"not a rational prime: {p}")
     cache_key = p
     if cache_key in K._prime_cache:

@@ -195,12 +195,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def compose(self, inner: "QPoly") -> "QPoly":
-        acc = QPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + QPoly.constant(c)
-        return acc
-
     def monic(self) -> "QPoly":
         if self.is_zero:
             return self
@@ -215,10 +209,6 @@ class QPoly:
             out.append(c * f)
             f *= s
         return QPoly(out)
-
-    def shift_arg(self, a) -> "QPoly":
-        """p(X + a)."""
-        return self.compose(QPoly((Fraction(a), Fraction(1))))
 
     # --- gcd and friends ---------------------------------------------------
     def gcd(self, other: "QPoly") -> "QPoly":
@@ -291,14 +281,6 @@ class QPoly:
         v = self(Fraction(x))
         return (v > 0) - (v < 0)
 
-    def sturm_sequence(self) -> list["QPoly"]:
-        p0 = self.squarefree_part()
-        seq = [p0, p0.derivative()]
-        while not seq[-1].is_zero:
-            seq.append(-(seq[-2] % seq[-1]))
-        seq.pop()
-        return seq
-
     def root_bound(self) -> Fraction:
         """Cauchy bound: all real roots lie in (-B, B)."""
         if self.degree < 1:
@@ -309,11 +291,11 @@ class QPoly:
     def count_real_roots_between(self, lo, hi, _seq=None) -> int:
         """Distinct real roots in (lo, hi]; endpoints must not be roots of the
         squarefree part for the usual clean reading, which callers arrange."""
-        seq = _seq if _seq is not None else self.sturm_sequence()
+        seq = _seq if _seq is not None else sturm_sequence(self)
         return _variations(seq, lo) - _variations(seq, hi)
 
     def count_real_roots(self) -> int:
-        seq = self.sturm_sequence()
+        seq = sturm_sequence(self)
         return _variations_at_minus_inf(seq) - _variations_at_plus_inf(seq)
 
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
@@ -322,7 +304,7 @@ class QPoly:
         p = self.squarefree_part()
         if p.degree < 1:
             return []
-        seq = p.sturm_sequence()
+        seq = sturm_sequence(p)
         b = p.root_bound()
         lo, hi = -b, b
         # endpoints of the Cauchy box are never roots (strict bound)
@@ -354,13 +336,24 @@ def _coerce(v) -> "QPoly":
     return NotImplemented
 
 
+def sturm_sequence(p):
+    """Sturm chain of the squarefree part of p: p0, p0', then negated
+    remainders.  Serves QPoly and numberfield's KPoly alike."""
+    p0 = p.squarefree_part()
+    seq = [p0, p0.derivative()]
+    while not seq[-1].is_zero:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+    return seq
+
+
 def _variations(seq: Sequence[QPoly], x) -> int:
     signs = [p.sign_at(x) for p in seq]
-    return _count_changes(signs)
+    return sign_changes(signs)
 
 
 def _variations_at_plus_inf(seq) -> int:
-    return _count_changes([(p.lc > 0) - (p.lc < 0) for p in seq])
+    return sign_changes([(p.lc > 0) - (p.lc < 0) for p in seq])
 
 
 def _variations_at_minus_inf(seq) -> int:
@@ -370,10 +363,11 @@ def _variations_at_minus_inf(seq) -> int:
         if p.degree % 2:
             s = -s
         signs.append(s)
-    return _count_changes(signs)
+    return sign_changes(signs)
 
 
-def _count_changes(signs: list[int]) -> int:
+def sign_changes(signs: list[int]) -> int:
+    """Sign variations in a sequence of -1/0/1, zeros skipped."""
     prev, n = 0, 0
     for s in signs:
         if s == 0:
@@ -492,11 +486,6 @@ def is_square_rational(q: Fraction) -> bool:
     n, d = q.numerator, q.denominator
     rn, rd = isqrt(n), isqrt(d)
     return rn * rn == n and rd * rd == d
-
-
-def sqrt_rational(q: Fraction) -> Fraction:
-    """Exact square root; caller guarantees q is a rational square."""
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
 
 
 def rationals_by_height() -> Iterator[Fraction]:

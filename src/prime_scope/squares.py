@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .dense import Ball, WitnessReport, _ordering_witness, simultaneous_ball
+from .dense import Ball, WitnessReport, ordering_witness, simultaneous_ball
 from .errors import (
     Negative,
     NoneWithinBound,
@@ -22,7 +22,7 @@ from .errors import (
     PrecisionOverflow,
     ZeroElement,
 )
-from .ffield import FF, ff_is_square
+from .ffield import FF, ff_is_square, is_prime
 from .numberfield import (
     FieldElement,
     KPoly,
@@ -170,7 +170,7 @@ def kochen(p: int, x: FieldElement) -> KochenValue:
     prefactor spends, or the denominator is a unit times p^(-2v) with
     v = v_p(x) < 0 and the count works out the same way.
     """
-    if p < 2:
+    if not is_prime(p):
         raise ValueError("p must be a prime >= 2")
     K = x.field
     w = x**p - x
@@ -380,7 +380,7 @@ def d_sos_witness(
     steps = 0
     try:
         for P in orderings:
-            w, took = _ordering_witness(P, g, eps, config.precision_cap, strict=True)
+            w, took = ordering_witness(P, g, eps, config.precision_cap, strict=True)
             locals_.append(w)
             steps += took
     except PrecisionOverflow as exc:

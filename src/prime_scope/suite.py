@@ -17,6 +17,7 @@ from .config import DEFAULT, Config
 from .closure import has_root_in_closure
 from .dense import d_witness, ud_witness, zgroup_witness
 from .errors import IndexDivisible, InverseOfZero, PrimeScopeError
+from .ffield import is_prime
 from .formulas import TConst, build_phi_n, emit_chi, eval_qf, prove_nu, substitute
 from .numberfield import KPoly, NumberField, elements_by_height
 from .primes import (
@@ -40,7 +41,7 @@ def _kpoly(K: NumberField, text: str) -> KPoly:
 
 
 def _primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,15 @@ def test_same_invocation_is_byte_deterministic():
 def test_output_ends_with_single_newline():
     r = run("field", "--field", "X^2-2")
     assert r.stdout.endswith("\n") and not r.stdout.endswith("\n\n")
+
+
+def test_composite_p_is_a_usage_error():
+    for p in ("4", "9", "15"):
+        for args in (
+            ("primes", "--field", "X^2+1", "--p", p),
+            ("formula", "emit-phi", "--p", p, "--f-abs", "1", "--n", "2"),
+            ("squares", "level", "--p", p, "--f", "2"),
+            ("squares", "kochen", "--field", "X", "--p", p, "--x", "3"),
+        ):
+            r = run(*args)
+            assert r.returncode == 2, (args, r.stdout, r.stderr)

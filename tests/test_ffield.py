@@ -7,13 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from prime_scope.errors import NotPIntegral, ZeroElement
+from prime_scope.errors import NotPIntegral, Unsupported, ZeroElement
 from prime_scope.ffield import (
     FF,
     factor_fpoly,
+    fadd,
+    fdivmod,
     ff_is_square,
     ffield_order,
+    fmul,
+    fred,
     irreducible_poly,
+    is_prime,
     poly_factor_mod_p,
 )
 from prime_scope.qpoly import QPoly, parse_poly
@@ -53,8 +58,6 @@ def test_factor_reexpansion_randomized():
         fs = factor_fpoly(a, p)
         # multiply back
         prod = (1,)
-        from prime_scope.ffield import fmul
-
         for f, m in fs:
             for _ in range(m):
                 prod = fmul(prod, f, p)
@@ -124,3 +127,48 @@ def test_ff_is_square_counts():
         F = FF(p, f)
         n = sum(1 for x in F.elements() if ff_is_square(x))
         assert n == (F.order + 1) // 2
+
+
+def _check_division(a, b, m):
+    q, r = fdivmod(a, b, m)
+    assert len(r) < len(b)
+    assert fadd(fmul(q, b, m), r, m) == a
+
+
+def test_fdivmod_non_monic_divisor_mod_p():
+    rng = random.Random(31)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7, 13])
+        b = fred([rng.randrange(p) for _ in range(rng.randint(0, 4))] + [rng.randrange(1, p)], p)
+        a = fred([rng.randrange(p) for _ in range(rng.randint(0, 9))], p)
+        _check_division(a, b, p)
+
+
+def test_fdivmod_monic_divisor_mod_prime_power():
+    rng = random.Random(32)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        m = p ** rng.randint(2, 40)
+        b = fred([rng.randrange(m) for _ in range(rng.randint(0, 4))] + [1], m)
+        a = fred([rng.randrange(-m, m) for _ in range(rng.randint(0, 9))], m)
+        _check_division(a, b, m)
+
+
+def test_is_prime_matches_trial_division():
+    want = [n for n in range(-3, 5000) if n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(-3, 5000) if is_prime(n)] == want
+    # strong pseudoprimes to the bases 2..23 and 2..37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    with pytest.raises(Unsupported):
+        is_prime(2**89 - 1)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_finite_field_rejects_composite_p(p):
+    with pytest.raises(ValueError):
+        FF(p, 2)

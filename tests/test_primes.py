@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from prime_scope.errors import IndexDivisible, NegativeValuation
-from prime_scope.ffield import ffield_order
+from prime_scope.ffield import ffield_order, fmul, fred
+from prime_scope.formulas import rootless_poly
+from prime_scope.localdata import dedekind_applies, lift_block_factorization
 from prime_scope.numberfield import nf_create, real_embeddings
 from prime_scope.primes import (
     INFINITE_PLACE,
@@ -21,6 +23,8 @@ from prime_scope.primes import (
     residue,
     valuation,
 )
+from prime_scope.squares import kochen
+from prime_scope.suite import FIELD_CORPUS
 
 GAUSS = nf_create("X^2+1")
 RAT = nf_create("X")
@@ -292,3 +296,39 @@ def test_quadratic_step_two_constraints():
         quadratic_step_search(RAT, 2, [(0, "split")])
     d = quadratic_step_search(GAUSS, 13, [(0, "split"), (1, "inert")])
     assert not d.is_zero
+
+
+# --- Hensel block lifts and Dedekind's criterion ---------------------------
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16, 33])
+def test_block_lifts_multiply_back_to_f(N):
+    for text in FIELD_CORPUS:
+        K = nf_create(text)
+        f = [int(c) for c in K.poly.coeffs]
+        for p in (2, 3, 5, 7, 11, 13):
+            M = p**N
+            prod = (1,)
+            for hbar, e, F in lift_block_factorization(K.poly, p, N):
+                prod = fmul(prod, F, M)
+                power = (1,)
+                for _ in range(e):
+                    power = fmul(power, hbar, p)
+                assert fred(F, p) == power, (text, p, N)
+            assert prod == fred(f, M), (text, p, N)
+
+
+def test_dedekind_applies_pinned():
+    assert not dedekind_applies(nf_create("X^2+3").poly, 2)
+    assert not dedekind_applies(nf_create("X^2-5").poly, 2)
+    assert dedekind_applies(GAUSS.poly, 2)
+    assert dedekind_applies(nf_create("X^3-2").poly, 3)
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_composite_p_is_rejected(p):
+    with pytest.raises(ValueError):
+        primes_above(GAUSS, p)
+    with pytest.raises(ValueError):
+        rootless_poly(p, 1)
+    with pytest.raises(ValueError):
+        kochen(p, RAT.rational(3))
