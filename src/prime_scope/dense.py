@@ -227,10 +227,7 @@ def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
             out.append(K.one())
             continue
         F = blocks[j][2]
-        C = (1,)
-        for i, blk in enumerate(blocks):
-            if i != j:
-                C = fmul(C, blk[2], mod)
+        C = _other_blocks(blocks, j, mod)
         g, u, w = fext_gcd(fred(F, p), fred(C, p), p)
         if g != (1,):
             raise AssertionError("block factors are not coprime mod p")
@@ -239,8 +236,19 @@ def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
             m = min(m * m, mod)
             u, w = bezout_lift(fred(F, m), fred(C, m), u, w, m)
         _, eps = fdivmod(fmul(w, C, mod), f_mod, mod)
-        out.append(K.element([Fraction(c) for c in eps] + [Fraction(0)] * (K.degree - len(eps))))
+        out.append(K.element(eps))
     return out
+
+
+def _other_blocks(blocks, j: int, mod: int) -> tuple[int, ...]:
+    """C_j: the product mod `mod` of the block lifts other than the j-th.  Its
+    degree is below deg f, and C_j(alpha) is a unit at the j-th prime above p
+    and has high valuation at every other one."""
+    C = (1,)
+    for i, blk in enumerate(blocks):
+        if i != j:
+            C = fmul(C, blk[2], mod)
+    return C
 
 
 def _nearest_multiple_reduce(x: FieldElement, M: int) -> FieldElement:
@@ -305,17 +313,10 @@ def weak_approx_value(K: NumberField, parts, config: Config = DEFAULT) -> FieldE
 
     blocks = lift_block_factorization(K.poly, p, N)
     mod = p**N
-    f_mod = fred([int(c) for c in K.poly.coeffs], mod)
     acc = K.zero()
     for P in primes:
-        j = P.index
-        C = (1,)
-        for i, blk in enumerate(blocks):
-            if i != j:
-                C = fmul(C, blk[2], mod)
-        _, C = fdivmod(C, f_mod, mod)
-        cj = K.element([Fraction(c) for c in C] + [Fraction(0)] * (K.degree - len(C)))
-        acc = acc + cj * P.uniformizer ** shifted.get(j, 0)
+        cj = K.element(_other_blocks(blocks, P.index, mod))
+        acc = acc + cj * P.uniformizer ** shifted.get(P.index, 0)
     z = _nearest_multiple_reduce(acc, mod) * K.rational(Fraction(1, p**M_shift))
 
     for P in primes:

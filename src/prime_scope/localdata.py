@@ -6,7 +6,9 @@ Everything here works on monic integer polynomials in the ``ffield`` kernel's
 form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 All lifts carry exact congruence certificates; asserts reverify the defining
 identities at each doubling step, so a lift that returns is correct by
-construction.
+construction.  The module has no polynomial arithmetic of its own: root
+finding and evaluation over a residue field F_q run on numberfield's KPoly
+with FFElem coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .ffield import (
     poly_factor_mod_p,
     reduce_qpoly_mod_p,
 )
+from .numberfield import KPoly
 from .qpoly import QPoly
 
 
@@ -139,114 +142,56 @@ def dedekind_applies(f: QPoly, p: int) -> bool:
 # polynomial roots over a finite field (deterministic)
 # ---------------------------------------------------------------------------
 
-def _gf_trim(a: list[FFElem]) -> list[FFElem]:
-    while a and a[-1].is_zero:
-        a.pop()
-    return a
-
-
-def _gf_sub(a: list[FFElem], b: list[FFElem], field: FF) -> list[FFElem]:
-    z = field.zero()
-    n = max(len(a), len(b))
-    return _gf_trim([(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)])
-
-
-def _gf_divmod(a: list[FFElem], b: list[FFElem], field: FF):
-    a = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    q = [field.zero()] * max(0, len(a) - db)
-    while len(_gf_trim(a)) - 1 >= db:
-        k = len(a) - 1 - db
-        c = a[-1] * inv
-        q[k] = c
-        for i, cb in enumerate(b):
-            a[k + i] = a[k + i] - c * cb
-        a.pop()
-    return _gf_trim(q), _gf_trim(a)
-
-
-def _gf_gcd(a, b, field: FF):
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
-    while b:
-        a, b = b, _gf_divmod(a, b, field)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _gf_mulmod(a, b, mod, field: FF):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _gf_divmod(_gf_trim(out), mod, field)[1]
-
-
-def _gf_powmod(base, k: int, mod, field: FF):
-    result = [field.one()]
-    base = _gf_divmod(list(base), mod, field)[1]
-    while k:
-        if k & 1:
-            result = _gf_mulmod(result, base, mod, field)
-        base = _gf_mulmod(base, base, mod, field)
-        k >>= 1
-    return result
-
-
 def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     """All roots in `field` of a polynomial with FFElem coefficients, sorted
     by the canonical element key.  Deterministic: the splitting scan walks
     field elements in enumeration order rather than sampling."""
-    h = _gf_trim(list(coeffs))
-    if not h:
+    h = KPoly(field, coeffs)
+    if h.is_zero:
         raise ZeroElement("root set of the zero polynomial")
+    one = KPoly(field, [field.one()])
+    x = KPoly(field, [field.zero(), field.one()])
+
+    def powmod(base: KPoly, k: int, mod: KPoly) -> KPoly:
+        result, base = one, base % mod
+        while k:
+            if k & 1:
+                result = result * base % mod
+            base = base * base % mod
+            k >>= 1
+        return result
+
     # keep only the part splitting over this field
-    q = field.p**field.f
-    xq = _gf_powmod([field.zero(), field.one()], q, h, field)
-    h = _gf_gcd(h, _gf_sub(xq, [field.zero(), field.one()], field), field)
+    q = field.order
+    h = h.gcd(powmod(x, q, h) - x)
     roots: list[FFElem] = []
 
-    def split(g):
-        if len(g) - 1 == 0:
+    def split(g: KPoly):
+        # g is monic and squarefree, a product of distinct linear factors
+        if g.degree == 0:
             return
-        if len(g) - 1 == 1:
-            roots.append(-g[0] * g[1].inverse())
+        if g.degree == 1:
+            roots.append(-g.coeffs[0])
             return
-        if field.p == 2:
-            # trace map splitter: T(c*(Y)) for successive c; the trace is a
-            # sum, and in characteristic 2 subtracting a term adds it
-            total_bits = field.f  # q = 2^f
-            for a in field.elements():
+        for a in field.elements():
+            if field.p == 2:
+                # trace map splitter: T(a*Y) = sum of (a*Y)^(2^i), i < f
                 if a.is_zero:
                     continue
-                acc = [field.zero()]
-                term = _gf_divmod([field.zero(), a], g, field)[1]
-                for _ in range(total_bits):
-                    acc = _gf_sub(acc, term, field)
-                    term = _gf_mulmod(term, term, g, field)
-                d = _gf_gcd(g, acc, field)
-                if 0 < len(d) - 1 < len(g) - 1:
-                    split(d)
-                    split(_gf_divmod(g, d, field)[0])
-                    return
-            raise AssertionError("trace splitter exhausted the field")
-        for a in field.elements():
-            w = _gf_powmod([a, field.one()], (q - 1) // 2, g, field)
-            d = _gf_gcd(g, _gf_sub(w, [field.one()], field), field)
-            if 0 < len(d) - 1 < len(g) - 1:
+                w, term = KPoly(field, []), (x * a) % g
+                for _ in range(field.f):
+                    w = w + term
+                    term = term * term % g
+            else:
+                w = powmod(KPoly(field, [a, field.one()]), (q - 1) // 2, g) - one
+            d = g.gcd(w)
+            if 0 < d.degree < g.degree:
                 split(d)
-                split(_gf_divmod(g, d, field)[0])
+                split(divmod(g, d)[0])
                 return
-        raise AssertionError("quadratic splitter exhausted the field")
+        raise AssertionError("root splitter exhausted the field")
 
-    if h:
-        split(h)
+    split(h)
     return sorted(roots, key=lambda r: r.key())
 
 
@@ -295,10 +240,7 @@ class ResidueEmbedding:
 
     def eval_poly(self, coeffs_mod_p: list[int]) -> FFElem:
         """Class of sum c_k X^k, evaluated at rho."""
-        acc = self.field.zero()
-        for c in reversed(coeffs_mod_p):
-            acc = acc * self.rho + self.field.element([c])
-        return acc
+        return KPoly(self.field, [self.field.element([c]) for c in coeffs_mod_p])(self.rho)
 
     def digits(self, r: FFElem) -> list[int]:
         """b with r = sum b_l rho^l, each b_l in [0, p)."""

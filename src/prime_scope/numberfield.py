@@ -1,4 +1,5 @@
-"""Number fields Q[X]/(f), their elements, and their orderings.
+"""Number fields Q[X]/(f), their elements, their orderings, and KPoly, the
+polynomials over K or over a finite field F_q.
 
 A field is created from a monic polynomial whose irreducibility is certified
 (or refused) by an explicit pipeline; elements are coordinate vectors over the
@@ -22,7 +23,17 @@ from .errors import (
     UncertifiedIrreducibility,
 )
 from .ffield import is_irreducible, reduce_qpoly_mod_p
-from .qpoly import QPoly, format_poly, parse_poly, rationals_by_height, sign_changes, sturm_sequence
+from .qpoly import (
+    QPoly,
+    format_poly,
+    parse_poly,
+    poly_gcd,
+    poly_resultant,
+    poly_squarefree_part,
+    rationals_by_height,
+    sign_changes,
+    sturm_sequence,
+)
 
 _SMALL_PRIMES: list[int] = []
 
@@ -495,11 +506,15 @@ def sign_at(ordering: Ordering, x: FieldElement) -> int:
 # ---------------------------------------------------------------------------
 
 class KPoly:
-    """Dense polynomial with FieldElement coefficients, lowest degree first."""
+    """Dense polynomial over a field, lowest degree first: over a NumberField
+    K with FieldElement coefficients, or over a finite field ffield.FF with
+    FFElem coefficients.  The arithmetic needs only the field's zero() and
+    one() and its elements' + - *, inverse() and is_zero; the ordering,
+    derivative and rational-evaluation methods are for K."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: NumberField, coeffs: Sequence[FieldElement]):
+    def __init__(self, field, coeffs: Sequence):
         cs = list(coeffs)
         while cs and cs[-1].is_zero:
             cs.pop()
@@ -554,7 +569,7 @@ class KPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
+        if not isinstance(other, KPoly):
             return KPoly(self.field, [c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return KPoly(self.field, [])
@@ -595,10 +610,7 @@ class KPoly:
         return KPoly(self.field, [c * inv for c in self.coeffs])
 
     def gcd(self, other: "KPoly") -> "KPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return poly_gcd(self, other)
 
     def derivative(self) -> "KPoly":
         return KPoly(
@@ -606,14 +618,7 @@ class KPoly:
         )
 
     def squarefree_part(self) -> "KPoly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        if g.degree == 0:
-            return self.monic()
-        q, r = divmod(self, g)
-        assert r.is_zero
-        return q.monic()
+        return poly_squarefree_part(self)
 
     def __call__(self, x: FieldElement) -> FieldElement:
         acc = self.field.zero()
@@ -622,32 +627,7 @@ class KPoly:
         return acc
 
     def resultant(self, other: "KPoly") -> FieldElement:
-        """Res(self, other) over the field, by the euclidean remainder chain
-        (same bookkeeping as the rational version)."""
-        K = self.field
-        f, g = self, other
-        if f.is_zero or g.is_zero:
-            return K.zero()
-        sign = 1
-        acc = K.one()
-        while True:
-            df, dg = f.degree, g.degree
-            if dg == 0:
-                return acc * g.lc**df * sign
-            if df == 0:
-                return acc * f.lc**dg * sign
-            if df < dg:
-                f, g = g, f
-                if (df * dg) % 2:
-                    sign = -sign
-                continue
-            r = f % g
-            if r.is_zero:
-                return K.zero()
-            acc = acc * g.lc ** (df - r.degree)
-            if (df * dg) % 2:
-                sign = -sign
-            f, g = g, r
+        return poly_resultant(self, other)
 
     def eval_fraction(self, q) -> FieldElement:
         return self(self.field.rational(q))

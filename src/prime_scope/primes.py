@@ -22,7 +22,7 @@ from .errors import (
     PrecisionOverflow,
     Unsupported,
 )
-from .ffield import FFElem, fdivmod, ff_is_square, fred, irreducible_poly, is_prime
+from .ffield import FFElem, fdivmod, ff_is_square, fred, is_prime
 from .localdata import (
     ResidueEmbedding,
     dedekind_applies,
@@ -72,16 +72,22 @@ class PrimeType:
 class PValuation:
     """A prime of K above the rational prime p, i.e. a normalized p-valuation
     v with v(K^x) = Z.  Carries e, f, the mod-p local factor, a uniformizer,
-    and lazily grown Hensel lift data."""
+    and lazily grown Hensel lift data.
 
-    def __init__(self, field: NumberField, p: int, index: int, hbar: tuple[int, ...], e: int):
+    `lifts` maps a precision N to lift_block_factorization(f, p, N); the
+    primes above p share one such dict, so a lift made for one of them serves
+    them all."""
+
+    def __init__(
+        self, field: NumberField, p: int, index: int, hbar: tuple[int, ...], e: int, lifts: dict
+    ):
         self.field = field
         self.p = p
         self.index = index
         self.hbar = hbar
         self.e = e
         self.f = len(hbar) - 1
-        self._lift_cache: dict[int, tuple[int, ...]] = {}
+        self._lifts = lifts
         self._embedding: ResidueEmbedding | None = None
         if e == 1:
             self.uniformizer = field.rational(p)
@@ -94,17 +100,11 @@ class PValuation:
     def kind(self) -> str:
         return "p-adic"
 
-    @property
-    def residue_modulus(self) -> QPoly:
-        """Defining polynomial of the canonical residue field F_{p^f}."""
-        return irreducible_poly(self.p, self.f)
-
     def block(self, N: int) -> tuple[int, ...]:
         """The Hensel lift of hbar^e as an exact factor of f modulo p^N."""
-        if N not in self._lift_cache:
-            lifted = lift_block_factorization(self.field.poly, self.p, N)
-            self._lift_cache[N] = lifted[self.index][2]
-        return self._lift_cache[N]
+        if N not in self._lifts:
+            self._lifts[N] = lift_block_factorization(self.field.poly, self.p, N)
+        return self._lifts[N][self.index][2]
 
     def embedding(self) -> ResidueEmbedding:
         if self._embedding is None:
@@ -216,12 +216,8 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
             )
     if not dedekind_applies(K.poly, p):
         raise IndexDivisible(f"p = {p} divides the index for this field")
-    lifted = lift_block_factorization(K.poly, p, 16)
-    out = []
-    for idx, (hbar, e, _blk) in enumerate(lifted):
-        P = PValuation(K, p, idx, hbar, e)
-        P._lift_cache[16] = _blk
-        out.append(P)
+    lifts = {16: lift_block_factorization(K.poly, p, 16)}
+    out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e, _) in enumerate(lifts[16])]
     assert sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree"
     for P in out:
         assert P.valuation(P.uniformizer) == 1, "uniformizer check failed"

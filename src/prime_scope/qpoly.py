@@ -3,6 +3,11 @@
 Coefficients are Fractions stored lowest-degree-first with trailing zeros
 stripped; the zero polynomial has an empty coefficient tuple and degree -1.
 Everything here is exact: no floats anywhere.
+
+The gcd, squarefree part, resultant and Sturm chain are module functions
+written once over any polynomial type with QPoly's interface (degree, lc,
+coeff, is_zero, monic, derivative, +, -, *, divmod); the QPoly methods and
+numberfield's KPoly methods delegate to them.
 """
 
 from __future__ import annotations
@@ -43,10 +48,6 @@ class QPoly:
     @staticmethod
     def one() -> "QPoly":
         return QPoly((1,))
-
-    @staticmethod
-    def x() -> "QPoly":
-        return QPoly((0, 1))
 
     @staticmethod
     def constant(c) -> "QPoly":
@@ -212,45 +213,13 @@ class QPoly:
 
     # --- gcd and friends ---------------------------------------------------
     def gcd(self, other: "QPoly") -> "QPoly":
-        a, b = self, _coerce(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        return poly_gcd(self, _coerce(other))
 
     def squarefree_part(self) -> "QPoly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return self.exact_div(g).monic()
+        return poly_squarefree_part(self)
 
     def resultant(self, other: "QPoly") -> Fraction:
-        """Res(self, other) = lc(self)^{deg other} * prod other(root).
-
-        The recursion keeps everything in Fractions; degrees stay small here.
-        """
-        f, g = self, _coerce(other)
-        if f.is_zero or g.is_zero:
-            return Fraction(0)
-        sign = 1
-        acc = Fraction(1)
-        while True:
-            df, dg = f.degree, g.degree
-            if dg == 0:
-                return acc * sign * g.lc ** df
-            if df == 0:
-                return acc * sign * f.lc ** dg
-            if df < dg:
-                f, g = g, f
-                if (df * dg) % 2:
-                    sign = -sign
-                continue
-            r = f % g
-            if r.is_zero:
-                return Fraction(0)
-            acc *= g.lc ** (df - r.degree)
-            if (df * dg) % 2:
-                sign = -sign
-            f, g = g, r
+        return poly_resultant(self, _coerce(other))
 
     def discriminant(self) -> Fraction:
         n = self.degree
@@ -345,6 +314,54 @@ def sturm_sequence(p):
         seq.append(-(seq[-2] % seq[-1]))
     seq.pop()
     return seq
+
+
+def poly_gcd(a, b):
+    """Monic gcd by Euclid's algorithm; zero when both inputs are zero."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def poly_squarefree_part(p):
+    """p / gcd(p, p'), made monic: the product of the distinct irreducible
+    factors of p, over a field of characteristic 0."""
+    if p.degree <= 0:
+        return p.monic()
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return p.monic()
+    q, r = divmod(p, g)
+    assert r.is_zero, "gcd(p, p') does not divide p"
+    return q.monic()
+
+
+def poly_resultant(f, g):
+    """Res(f, g) = lc(f)^{deg g} * prod g(root of f), by the Euclidean
+    remainder chain (Cohen, GTM 138, 3.3).  The value lies in the coefficient
+    ring, whose zero is coeff(-1) and whose one is that zero to the power 0,
+    so the code serves QPoly (a Fraction) and numberfield's KPoly (a field
+    element) alike."""
+    zero = f.coeff(-1)
+    if f.is_zero or g.is_zero:
+        return zero
+    negate = False
+    acc = zero**0
+    while True:
+        df, dg = f.degree, g.degree
+        if df == 0 or dg == 0:
+            acc = acc * (g.lc**df if dg == 0 else f.lc**dg)
+            return -acc if negate else acc
+        if df * dg % 2:
+            negate = not negate
+        if df < dg:
+            f, g = g, f
+            continue
+        r = f % g
+        if r.is_zero:
+            return zero
+        acc = acc * g.lc ** (df - r.degree)
+        f, g = g, r
 
 
 def _variations(seq: Sequence[QPoly], x) -> int:

@@ -222,14 +222,8 @@ class ShortCheckResult:
 
 def _reduction_has_root(P: PValuation, g: KPoly) -> bool:
     F = FF(P.p, P.f)
-    rbar = [residue(P, c) for c in g.coeffs]
-    for t in F.elements():
-        acc = F.zero()
-        for c in reversed(rbar):
-            acc = acc * t + c
-        if acc.is_zero:
-            return True
-    return False
+    gbar = KPoly(F, [residue(P, c) for c in g.coeffs])
+    return any(gbar(t).is_zero for t in F.elements())
 
 
 def no_short_representation_check(

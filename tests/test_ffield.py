@@ -21,6 +21,7 @@ from prime_scope.ffield import (
     is_prime,
     poly_factor_mod_p,
 )
+from prime_scope.localdata import ff_poly_roots
 from prime_scope.qpoly import QPoly, parse_poly
 
 from oracles import oracle_factor_mod_p
@@ -127,6 +128,51 @@ def test_ff_is_square_counts():
         F = FF(p, f)
         n = sum(1 for x in F.elements() if ff_is_square(x))
         assert n == (F.order + 1) // 2
+
+
+def _ff_mul(a, b, F):
+    out = [F.zero()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def _brute_roots(F, cs):
+    roots = []
+    for t in F.elements():
+        acc = F.zero()
+        for c in reversed(cs):
+            acc = acc * t + c
+        if acc.is_zero:
+            roots.append(t)
+    return roots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_ff_poly_roots_match_brute_force(p, f):
+    # p = 2 runs the trace splitter, odd p the quadratic-character one
+    F = FF(p, f)
+    els = list(F.elements())  # ascending key order, as ff_poly_roots sorts
+    rng = random.Random(97 * p + f)
+    rootless = next(
+        [c, b, F.one()] for b in els for c in els if not _brute_roots(F, [c, b, F.one()])
+    )
+    cases = [[rng.choice(els) for _ in range(rng.randrange(1, 6))] + [rng.choice(els[1:])] for _ in range(8)]
+    for _ in range(3):
+        r, s = rng.choice(els), rng.choice(els)
+        square = _ff_mul([-r, F.one()], [-r, F.one()], F)
+        cases.append(_ff_mul(square, [-s, F.one()], F))  # repeated root r
+        cases.append(_ff_mul(square, rootless, F))  # repeated root and a rootless factor
+    cases += [rootless, _ff_mul(rootless, rootless, F), [F.one()], [rng.choice(els[1:])]]
+    for cs in cases:
+        assert ff_poly_roots(F, cs) == _brute_roots(F, cs), cs
+    assert ff_poly_roots(F, rootless) == []
+    with pytest.raises(ZeroElement):
+        ff_poly_roots(F, [])
+    with pytest.raises(ZeroElement):
+        ff_poly_roots(F, [F.zero(), F.zero()])
 
 
 def _check_division(a, b, m):

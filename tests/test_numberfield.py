@@ -12,6 +12,7 @@ from prime_scope.errors import (
     UncertifiedIrreducibility,
 )
 from prime_scope.numberfield import (
+    FieldElement,
     KPoly,
     elements_by_height,
     format_element,
@@ -190,6 +191,32 @@ def test_kpoly_divmod_and_gcd():
     assert r.is_zero
     assert q == KPoly(K, [alpha, K.one()])
     assert f.gcd(g) == g.monic()
+
+
+def test_kpoly_resultant_agrees_with_rational_resultant():
+    K = nf_create("X^2+1")
+    rng = random.Random(17)
+
+    def rand_qpoly():
+        return QPoly([Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(rng.randrange(4))])
+
+    three, f = QPoly([3]), QPoly([1, 0, 1])
+    pairs = [(f, QPoly()), (QPoly(), f), (QPoly(), QPoly()), (three, f), (f, three), (three, QPoly([5]))]
+    pairs += [(rand_qpoly(), rand_qpoly()) for _ in range(40)]
+    for a, b in pairs:
+        want = a.resultant(b)
+        got = KPoly.from_qpoly(K, a).resultant(KPoly.from_qpoly(K, b))
+        assert type(want) is Fraction and type(got) is FieldElement
+        assert got == K.rational(want), (a, b)
+    # Res(c, g) = c^deg g and Res(f, c) = c^deg f
+    assert three.resultant(f) == f.resultant(three) == 9
+    assert three.resultant(QPoly([5])) == 1
+    # non-rational operands: Res(Y - i, g) = g(i)
+    i = K.gen()
+    lin = KPoly(K, [-i, K.one()])
+    g = KPoly(K, [K.rational(3), K.zero(), K.one()])
+    assert lin.resultant(g) == g.resultant(lin) == K.rational(2)
+    assert lin.resultant(KPoly(K, [K.rational(-2), K.one()])) == i - 2
 
 
 def test_kpoly_root_count_in_ordering():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import prime_scope.primes as primes_module
 from prime_scope.errors import IndexDivisible, NegativeValuation
 from prime_scope.ffield import ffield_order, fmul, fred
 from prime_scope.formulas import rootless_poly
@@ -332,3 +333,20 @@ def test_composite_p_is_rejected(p):
         rootless_poly(p, 1)
     with pytest.raises(ValueError):
         kochen(p, RAT.rational(3))
+
+
+def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
+    K = nf_create("X^3-2")
+    primes = primes_above(K, 31)
+    assert len(primes) == 3
+    lift = primes_module.lift_block_factorization
+    precisions = []
+
+    def counted(f, p, N):
+        precisions.append(N)
+        return lift(f, p, N)
+
+    monkeypatch.setattr(primes_module, "lift_block_factorization", counted)
+    blocks = [P.block(32) for P in primes]
+    assert precisions == [32]
+    assert blocks == [F for _, _, F in lift(K.poly, 31, 32)]
