@@ -37,7 +37,7 @@ from .formulas import (
     parse_formula,
     print_formula,
 )
-from .numberfield import KPoly, NumberField, format_element, parse_element
+from .numberfield import KPoly, NumberField, format_element, nf_create, parse_element
 from .primes import (
     PrimeType,
     chi_member,
@@ -56,15 +56,6 @@ from .squares import (
     r_infinity_member,
 )
 from .suite import run_suite
-
-
-def _load_field(text: str) -> NumberField:
-    return NumberField(parse_poly(text))
-
-
-def _load_kpoly(K: NumberField, text: str) -> KPoly:
-    qp = parse_poly(text)
-    return KPoly(K, [K.rational(c) for c in qp.coeffs])
 
 
 def _place(K: NumberField, p, index: int):
@@ -137,7 +128,7 @@ def render_mpoly(m) -> str:
 
 
 def _h_field(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     obj = {
         "poly": format_poly(K.poly),
         "degree": K.degree,
@@ -147,7 +138,7 @@ def _h_field(args, config):
 
 
 def _h_primes(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     if args.p == "inf":
         return 0, [O.to_json() for O in K.orderings()], None
     if args.taue is not None or args.tauf is not None:
@@ -161,7 +152,7 @@ def _h_primes(args, config):
 
 
 def _h_valuate(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     P = _place(K, args.p, args.index)
     x = parse_element(K, args.x)
     if args.p == "inf":
@@ -171,7 +162,7 @@ def _h_valuate(args, config):
 
 
 def _h_chi(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     P = _place(K, args.p, args.index)
     if args.p == "inf":
         tau = None
@@ -185,48 +176,48 @@ def _h_chi(args, config):
 
 
 def _h_holomorphy(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     tau = PrimeType(args.taue, args.tauf)
     x = parse_element(K, args.x)
     return 0, {"member": holomorphy_member(K, args.p, tau, x)}, None
 
 
 def _h_closure_has_root(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     P = _place(K, args.p, args.index)
-    g = _load_kpoly(K, args.poly)
+    g = KPoly.from_qpoly(K, parse_poly(args.poly))
     return 0, has_root_in_closure(P, g).to_json(), None
 
 
 def _h_closure_root(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     if args.p == "inf":
         raise Unsupported("closure root approximants are p-adic; use an isolating interval instead")
     P = _place(K, args.p, args.index)
-    g = _load_kpoly(K, args.poly)
+    g = KPoly.from_qpoly(K, parse_poly(args.poly))
     x = padic_root(P, g, args.k, config.precision_cap)
     achieved = valuation(P, g(x), config.precision_cap)
     return 0, {"root": format_element(x), "k": args.k, "achieved": _val_json(achieved)}, None
 
 
 def _h_dense_d(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     P = _place(K, args.p, args.index)
-    g = _load_kpoly(K, args.poly)
+    g = KPoly.from_qpoly(K, parse_poly(args.poly))
     a = parse_element(K, args.a)
     return 0, d_witness(P, g, a, config).to_json(), None
 
 
 def _h_dense_ud(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     S = _parse_places(K, args.at)
-    g = _load_kpoly(K, args.poly)
+    g = KPoly.from_qpoly(K, parse_poly(args.poly))
     a = parse_element(K, args.a)
     return 0, ud_witness(K, S, g, a, config).to_json(), None
 
 
 def _h_dense_weak(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     parts = []
     requested = []
     for tok in args.target.split(","):
@@ -247,7 +238,7 @@ def _h_dense_weak(args, config):
 
 
 def _h_dense_zgroup(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     tau = PrimeType(args.taue, args.tauf)
     y = parse_element(K, args.y)
     xs = zgroup_witness(K, args.p, tau, args.n, y, config)
@@ -273,7 +264,7 @@ def _h_formula_emit_nu(args, config):
 
 
 def _h_formula_eval(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     tau = PrimeType(args.taue, args.tauf)
     phi = parse_formula(args.formula)
     if is_qf(phi):
@@ -293,7 +284,7 @@ def _h_squares_four(args, config):
 
 
 def _h_squares_member(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     x = parse_element(K, args.x)
     return 0, {"member": r_infinity_member(K, x)}, None
 
@@ -303,22 +294,22 @@ def _h_squares_level(args, config):
 
 
 def _h_squares_kochen(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     x = parse_element(K, args.x)
     return 0, kochen(args.p, x).to_json(), None
 
 
 def _h_squares_s6(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     P = _place(K, args.p, args.index)
-    g = _load_kpoly(K, args.poly)
+    g = KPoly.from_qpoly(K, parse_poly(args.poly))
     eps = parse_element(K, args.eps)
     r = no_short_representation_check(P, g, eps, args.s, config.height_bound, config)
     return 0, r.to_json(), None
 
 
 def _h_tower_step(args, config):
-    K = _load_field(args.field)
+    K = nf_create(args.field)
     constraints = []
     for tok in args.want.split(","):
         tok = tok.strip()

@@ -23,118 +23,28 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .errors import FormulaSyntaxError, InverseOfZero, Unsupported
 from .ffield import is_irreducible, is_prime
-from .numberfield import FieldElement, NumberField, elements_by_height
+from .numberfield import RAT_RE, FieldElement, NumberField, elements_by_height
 from .primes import PrimeType, holomorphy_member, is_infinite_place, primes_of_type
 from .qpoly import QPoly
 
 
 # ---------------------------------------------------------------------------
-# term and formula ASTs (immutable, structurally hashable)
+# term and formula ASTs (structurally compared and hashed).  Nodes are not
+# frozen, so a node that is shared or used as a key must not be changed.
 # ---------------------------------------------------------------------------
 
 
 class Term:
     __slots__ = ()
 
-
-class TConst(Term):
-    """Constant from the field: a Fraction, or a coordinate vector (length
-    >= 2, trailing zeros stripped) for elements outside the prime field."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if isinstance(value, FieldElement):
-            coords = list(value.coords)
-            while len(coords) > 1 and coords[-1] == 0:
-                coords.pop()
-            value = coords[0] if len(coords) == 1 else tuple(coords)
-        elif isinstance(value, tuple):
-            coords = list(value)
-            while len(coords) > 1 and coords[-1] == 0:
-                coords.pop()
-            value = coords[0] if len(coords) == 1 else tuple(coords)
-        elif isinstance(value, int):
-            value = Fraction(value)
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, TConst) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("c", self.value))
-
     def __repr__(self):
-        return print_term(self)
-
-
-class TVar(Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, TVar) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("v", self.name))
-
-    def __repr__(self):
-        return self.name
-
-
-class TAdd(Term):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Term, b: Term):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return isinstance(other, TAdd) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash(("+", self.a, self.b))
-
-    def __repr__(self):
-        return print_term(self)
-
-
-class TMul(Term):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Term, b: Term):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return isinstance(other, TMul) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash(("*", self.a, self.b))
-
-    def __repr__(self):
-        return print_term(self)
-
-
-class TInv(Term):
-    __slots__ = ("a",)
-
-    def __init__(self, a: Term):
-        self.a = a
-
-    def __eq__(self, other):
-        return isinstance(other, TInv) and self.a == other.a
-
-    def __hash__(self):
-        return hash(("inv", self.a))
-
-    def __repr__(self):
-        return print_term(self)
+        return print_formula(self)
 
 
 class Formula:
@@ -144,112 +54,100 @@ class Formula:
         return print_formula(self)
 
 
+_node = dataclass(slots=True, unsafe_hash=True, repr=False)
+
+
+@_node
+class TConst(Term):
+    """Constant from the field: a Fraction, or a coordinate vector (length
+    >= 2, trailing zeros stripped) for elements outside the prime field."""
+
+    value: object
+
+    def __post_init__(self):
+        v = self.value
+        if isinstance(v, (FieldElement, tuple)):
+            coords = list(v.coords if isinstance(v, FieldElement) else v)
+            while len(coords) > 1 and coords[-1] == 0:
+                coords.pop()
+            v = coords[0] if len(coords) == 1 else tuple(coords)
+        self.value = Fraction(v) if isinstance(v, int) else v
+
+
+@_node
+class TVar(Term):
+    name: str
+
+
+@_node
+class TAdd(Term):
+    a: Term
+    b: Term
+
+
+@_node
+class TMul(Term):
+    a: Term
+    b: Term
+
+
+@_node
+class TInv(Term):
+    a: Term
+
+
+@_node
 class FEq(Formula):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Term, b: Term):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return isinstance(other, FEq) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash(("=", self.a, self.b))
+    a: Term
+    b: Term
 
 
+@_node
 class FR(Formula):
-    __slots__ = ("t",)
-
-    def __init__(self, t: Term):
-        self.t = t
-
-    def __eq__(self, other):
-        return isinstance(other, FR) and self.t == other.t
-
-    def __hash__(self):
-        return hash(("R", self.t))
+    t: Term
 
 
+@_node
 class FNot(Formula):
-    __slots__ = ("f",)
-
-    def __init__(self, f: Formula):
-        self.f = f
-
-    def __eq__(self, other):
-        return isinstance(other, FNot) and self.f == other.f
-
-    def __hash__(self):
-        return hash(("not", self.f))
+    f: Formula
 
 
+@_node
 class FAnd(Formula):
-    __slots__ = ("args",)
+    args: tuple
 
-    def __init__(self, args):
-        self.args = tuple(args)
+    def __post_init__(self):
+        self.args = tuple(self.args)
         if len(self.args) < 2:
             raise ValueError("conjunction needs at least two conjuncts")
 
-    def __eq__(self, other):
-        return isinstance(other, FAnd) and self.args == other.args
 
-    def __hash__(self):
-        return hash(("and", self.args))
-
-
+@_node
 class FOr(Formula):
-    __slots__ = ("args",)
+    args: tuple
 
-    def __init__(self, args):
-        self.args = tuple(args)
+    def __post_init__(self):
+        self.args = tuple(self.args)
         if len(self.args) < 2:
             raise ValueError("disjunction needs at least two disjuncts")
 
-    def __eq__(self, other):
-        return isinstance(other, FOr) and self.args == other.args
 
-    def __hash__(self):
-        return hash(("or", self.args))
-
-
+@_node
 class FImp(Formula):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Formula, b: Formula):
-        self.a, self.b = a, b
-
-    def __eq__(self, other):
-        return isinstance(other, FImp) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash(("->", self.a, self.b))
+    a: Formula
+    b: Formula
 
 
+@_node
 class FAll(Formula):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        self.var, self.body = var, body
-
-    def __eq__(self, other):
-        return isinstance(other, FAll) and (self.var, self.body) == (other.var, other.body)
-
-    def __hash__(self):
-        return hash(("forall", self.var, self.body))
+    var: str
+    body: Formula
 
 
+@_node
 class FEx(Formula):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        self.var, self.body = var, body
-
-    def __eq__(self, other):
-        return isinstance(other, FEx) and (self.var, self.body) == (other.var, other.body)
-
-    def __hash__(self):
-        return hash(("exists", self.var, self.body))
+    var: str
+    body: Formula
 
 
 def r_unit(t: Term) -> Formula:
@@ -736,54 +634,51 @@ def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int, config: Config = DE
 
 
 # ---------------------------------------------------------------------------
-# s-expression text form
+# s-expression text form: "(head field ...)" with a node's fields in order and
+# an argument tuple spliced in; variables are bare names, constants rational
+# literals or coordinate vectors "[c0, c1, ...]"
 # ---------------------------------------------------------------------------
 
-_FORMULA_HEADS = {"=", "R", "not", "and", "or", "->", "forall", "exists"}
-_TERM_HEADS = {"+", "*", "inv"}
+_HEADS = {
+    TAdd: "+",
+    TMul: "*",
+    TInv: "inv",
+    FEq: "=",
+    FR: "R",
+    FNot: "not",
+    FAnd: "and",
+    FOr: "or",
+    FImp: "->",
+    FAll: "forall",
+    FEx: "exists",
+}
+_NODE_OF_HEAD = {head: cls for cls, head in _HEADS.items()}
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def print_formula(node) -> str:
+    """Text form of a formula or a term."""
+    if isinstance(node, TVar):
+        return node.name
+    if isinstance(node, TConst):
+        v = node.value
+        return "[" + ", ".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v)
+    head = _HEADS.get(type(node))
+    if head is None:
+        raise TypeError(f"not a formula node: {type(node).__name__}")
+    parts = [head]
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, str):
+            parts.append(v)
+        elif isinstance(v, tuple):
+            parts.extend(map(print_formula, v))
+        else:
+            parts.append(print_formula(v))
+    return "(" + " ".join(parts) + ")"
 
 
-def print_term(t: Term) -> str:
-    if isinstance(t, TConst):
-        if isinstance(t.value, tuple):
-            return "[" + ", ".join(_fmt_fraction(c) for c in t.value) + "]"
-        return _fmt_fraction(t.value)
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TAdd):
-        return f"(+ {print_term(t.a)} {print_term(t.b)})"
-    if isinstance(t, TMul):
-        return f"(* {print_term(t.a)} {print_term(t.b)})"
-    if isinstance(t, TInv):
-        return f"(inv {print_term(t.a)})"
-    raise TypeError(f"not a term node: {t!r}")
+print_term = print_formula
 
-
-def print_formula(phi: Formula) -> str:
-    if isinstance(phi, FEq):
-        return f"(= {print_term(phi.a)} {print_term(phi.b)})"
-    if isinstance(phi, FR):
-        return f"(R {print_term(phi.t)})"
-    if isinstance(phi, FNot):
-        return f"(not {print_formula(phi.f)})"
-    if isinstance(phi, FAnd):
-        return "(and " + " ".join(print_formula(g) for g in phi.args) + ")"
-    if isinstance(phi, FOr):
-        return "(or " + " ".join(print_formula(g) for g in phi.args) + ")"
-    if isinstance(phi, FImp):
-        return f"(-> {print_formula(phi.a)} {print_formula(phi.b)})"
-    if isinstance(phi, FAll):
-        return f"(forall {phi.var} {print_formula(phi.body)})"
-    if isinstance(phi, FEx):
-        return f"(exists {phi.var} {print_formula(phi.body)})"
-    raise TypeError(f"not a formula node: {phi!r}")
-
-
-_RAT = re.compile(r"^-?\d+(?:/\d+)?$")
 _SYM = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 
@@ -836,84 +731,61 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what!r} at position {at}, got {tok!r}")
 
     def atom_term(self, tok: str, at: int) -> Term:
-        if _RAT.match(tok):
+        if RAT_RE.match(tok):
             return TConst(Fraction(tok))
         if tok.startswith("["):
             body = tok[1:-1].strip()
             parts = [s.strip() for s in body.split(",")] if body else []
             for s in parts:
-                if not _RAT.match(s):
+                if not RAT_RE.match(s):
                     raise FormulaSyntaxError(f"bad coordinate {s!r} at position {at}")
             if not parts:
                 raise FormulaSyntaxError(f"empty coordinate vector at position {at}")
             return TConst(tuple(Fraction(s) for s in parts))
-        if _SYM.match(tok) and tok not in _FORMULA_HEADS and tok not in _TERM_HEADS:
+        if _SYM.match(tok) and tok not in _NODE_OF_HEAD:
             return TVar(tok)
         raise FormulaSyntaxError(f"expected a term at position {at}, got {tok!r}")
 
-    def term(self) -> Term:
+    def node(self, kind: type):
+        """The next Term or Formula: the head names the node class, whose
+        field annotations ("Term", "Formula", "str" for a bound variable,
+        "tuple" for two or more formulas) say what to read next."""
         tok, at = self.next()
         if tok != "(":
-            return self.atom_term(tok, at)
-        head, hat = self.next()
-        if head == "+":
-            a, b = self.term(), self.term()
-            self.expect(")")
-            return TAdd(a, b)
-        if head == "*":
-            a, b = self.term(), self.term()
-            self.expect(")")
-            return TMul(a, b)
-        if head == "inv":
-            a = self.term()
-            self.expect(")")
-            return TInv(a)
-        raise FormulaSyntaxError(f"unknown term head {head!r} at position {hat}")
-
-    def formula(self) -> Formula:
-        tok, at = self.next()
-        if tok != "(":
+            if kind is Term:
+                return self.atom_term(tok, at)
             raise FormulaSyntaxError(f"expected '(' at position {at}, got {tok!r}")
         head, hat = self.next()
-        if head == "=":
-            a, b = self.term(), self.term()
-            self.expect(")")
-            return FEq(a, b)
-        if head == "R":
-            t = self.term()
-            self.expect(")")
-            return FR(t)
-        if head == "not":
-            f = self.formula()
-            self.expect(")")
-            return FNot(f)
-        if head in ("and", "or"):
-            args = []
-            while self.peek()[0] != ")":
-                args.append(self.formula())
-            self.expect(")")
-            if len(args) < 2:
-                raise FormulaSyntaxError(
-                    f"{head} needs at least two arguments at position {hat}"
-                )
-            return FAnd(args) if head == "and" else FOr(args)
-        if head == "->":
-            a, b = self.formula(), self.formula()
-            self.expect(")")
-            return FImp(a, b)
-        if head in ("forall", "exists"):
-            var, vat = self.next()
-            if not _SYM.match(var or "") or var in _FORMULA_HEADS | _TERM_HEADS:
-                raise FormulaSyntaxError(f"bad bound variable at position {vat}")
-            body = self.formula()
-            self.expect(")")
-            return FAll(var, body) if head == "forall" else FEx(var, body)
-        raise FormulaSyntaxError(f"unknown formula head {head!r} at position {hat}")
+        cls = _NODE_OF_HEAD.get(head)
+        if cls is None or not issubclass(cls, kind):
+            raise FormulaSyntaxError(
+                f"unknown {kind.__name__.lower()} head {head!r} at position {hat}"
+            )
+        args = []
+        for f in fields(cls):
+            if f.type == "str":
+                var, vat = self.next()
+                if not _SYM.match(var) or var in _NODE_OF_HEAD:
+                    raise FormulaSyntaxError(f"bad bound variable at position {vat}")
+                args.append(var)
+            elif f.type == "tuple":
+                items = []
+                while self.peek()[0] != ")":
+                    items.append(self.node(Formula))
+                if len(items) < 2:
+                    raise FormulaSyntaxError(
+                        f"{head} needs at least two arguments at position {hat}"
+                    )
+                args.append(items)
+            else:
+                args.append(self.node(Term if f.type == "Term" else Formula))
+        self.expect(")")
+        return cls(*args)
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    phi = p.formula()
+    phi = p.node(Formula)
     tok, at = p.peek()
     if tok is not None:
         raise FormulaSyntaxError(f"trailing input at position {at}: {tok!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count, product
 from math import gcd as int_gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -30,7 +31,7 @@ from .qpoly import (
     poly_gcd,
     poly_resultant,
     poly_squarefree_part,
-    rationals_by_height,
+    rationals_of_height,
     sign_changes,
     sturm_sequence,
 )
@@ -373,28 +374,25 @@ class FieldElement:
 # element literals: "[c0, c1, ...]" with rational entries; bare rationals OK
 # ---------------------------------------------------------------------------
 
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
 def format_element(x: FieldElement) -> str:
-    def one(c: Fraction) -> str:
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
     if x.is_rational():
-        return one(x.coords[0])
-    return "[" + ", ".join(one(c) for c in x.coords) + "]"
+        return str(x.coords[0])
+    return "[" + ", ".join(map(str, x.coords)) + "]"
 
 
 def parse_element(field: NumberField, text: str) -> FieldElement:
     s = text.strip()
-    if _RAT_RE.match(s):
+    if RAT_RE.match(s):
         return field.rational(Fraction(s))
     if not (s.startswith("[") and s.endswith("]")):
         raise FormulaSyntaxError(f"bad element literal {text!r}")
     body = s[1:-1].strip()
     parts = [p.strip() for p in body.split(",")] if body else []
     for p in parts:
-        if not _RAT_RE.match(p):
+        if not RAT_RE.match(p):
             raise FormulaSyntaxError(f"bad coordinate {p!r} in {text!r}")
     if len(parts) > field.degree:
         raise FormulaSyntaxError(
@@ -455,7 +453,7 @@ class Ordering:
         return {
             "kind": "ordering",
             "index": self.index,
-            "interval": [_q_str(lo), _q_str(hi)],
+            "interval": [str(lo), str(hi)],
         }
 
     def __eq__(self, other):
@@ -481,10 +479,6 @@ def _refine_once(f: QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
     if f.sign_at(lo) * f.sign_at(mid) < 0:
         return lo, mid
     return mid, hi
-
-
-def _q_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def nf_create(poly: QPoly | str) -> NumberField:
@@ -684,35 +678,14 @@ def elements_by_height(field: NumberField, include_zero: bool = True) -> Iterato
     if include_zero:
         yield field.zero()
     ladder: list[Fraction] = [Fraction(0)]
-    gen = rationals_by_height()
-    next(gen)  # skip 0, already in ladder
-    h = 0
-    while True:
-        h += 1
-        new = []
-        while True:
-            q = next(gen)
-            if max(abs(q.numerator), q.denominator) > h:
-                ladder.extend(new)
-                back = q
-                break
-            new.append(q)
-        # vectors with max height exactly h: at least one coordinate in `new`
-        old_len = len(ladder) - len(new)
-
-        def rec(i: int, coords: list[Fraction], used_new: bool):
-            if i == n:
-                if used_new:
-                    yield field.element(coords)
-                return
-            for j, q in enumerate(ladder):
-                yield from rec(i + 1, coords + [q], used_new or j >= old_len)
-
-        yield from rec(0, [], False)
-        # push back the lookahead value
-        gen = _chain_one(back, gen)
-
-
-def _chain_one(first, rest):
-    yield first
-    yield from rest
+    for h in count(1):
+        new = rationals_of_height(h)
+        old_len = len(ladder)
+        ladder += new
+        # vectors of height exactly h: the last coordinate is new unless an
+        # earlier one already is
+        for head in product(range(len(ladder)), repeat=n - 1):
+            prefix = [ladder[j] for j in head]
+            tail = ladder if head and max(head) >= old_len else new
+            for q in tail:
+                yield field.element(prefix + [q])

@@ -123,10 +123,8 @@ class PValuation:
         content, prim = g.content_and_primitive()
         vc = vp_fraction(content, self.p)
         prim_q = QPoly(prim)
-        N = 16
+        N = min(16, precision_cap)
         while True:
-            if N > precision_cap:
-                raise PrecisionOverflow(f"valuation undecided at precision p^{N}")
             F = QPoly([Fraction(c) for c in self.block(N)])
             R = F.resultant(prim_q)
             if R != 0:
@@ -134,7 +132,9 @@ class PValuation:
                 if vr < N:
                     assert vr % self.f == 0, "resultant valuation not a multiple of f"
                     return self.e * vc + vr // self.f
-            N *= 2
+            if N >= precision_cap:
+                raise PrecisionOverflow(f"valuation undecided at precision p^{N}")
+            N = min(2 * N, precision_cap)
 
     def residue(self, x: FieldElement) -> FFElem:
         """Image of x in the residue field F_{p^f} (canonical model)."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -471,10 +472,6 @@ def parse_poly(text: str) -> QPoly:
     return QPoly(out)
 
 
-def _fmt_q(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(p: QPoly) -> str:
     """Canonical ascending-degree rendering, zero terms omitted."""
     if p.is_zero:
@@ -485,11 +482,11 @@ def format_poly(p: QPoly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _fmt_q(mag)
+            body = str(mag)
         elif mag == 1:
             body = "X" if k == 1 else f"X^{k}"
         else:
-            body = f"{_fmt_q(mag)}*X" if k == 1 else f"{_fmt_q(mag)}*X^{k}"
+            body = f"{mag}*X" if k == 1 else f"{mag}*X^{k}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
@@ -505,18 +502,22 @@ def is_square_rational(q: Fraction) -> bool:
     return rn * rn == n and rd * rd == d
 
 
+def rationals_of_height(h: int) -> list[Fraction]:
+    """The rationals of height max(|num|, den) == h >= 1, by denominator,
+    then |num|, positives first."""
+    out = []
+    for den in range(1, h + 1):
+        # max(|num|, den) == h forces num == h while den < h
+        nums = range(1, h + 1) if den == h else (h,)
+        for num in nums:
+            if gcd(num, den) == 1:
+                out += (Fraction(num, den), Fraction(-num, den))
+    return out
+
+
 def rationals_by_height() -> Iterator[Fraction]:
     """0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, ...: ordered by height
     max(|num|, den), then denominator, then |num|, positives first."""
     yield Fraction(0)
-    h = 1
-    while True:
-        for den in range(1, h + 1):
-            # max(|num|, den) == h forces num == h while den < h
-            nums = range(1, h + 1) if den == h else (h,)
-            for num in nums:
-                if gcd(num, den) != 1:
-                    continue
-                yield Fraction(num, den)
-                yield Fraction(-num, den)
-        h += 1
+    for h in count(1):
+        yield from rationals_of_height(h)

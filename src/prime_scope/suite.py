@@ -19,7 +19,7 @@ from .dense import d_witness, ud_witness, zgroup_witness
 from .errors import IndexDivisible, InverseOfZero, PrimeScopeError
 from .ffield import is_prime
 from .formulas import TConst, build_phi_n, emit_chi, eval_qf, prove_nu, substitute
-from .numberfield import KPoly, NumberField, elements_by_height
+from .numberfield import KPoly, elements_by_height, nf_create
 from .primes import (
     PrimeType,
     chi_member,
@@ -29,15 +29,6 @@ from .primes import (
 )
 from .qpoly import QPoly, parse_poly
 from .squares import four_squares, kochen, level_finite_field, no_short_representation_check
-
-
-def _field(text: str) -> NumberField:
-    return NumberField(parse_poly(text))
-
-
-def _kpoly(K: NumberField, text: str) -> KPoly:
-    qp = parse_poly(text)
-    return KPoly(K, [K.rational(c) for c in qp.coeffs])
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -77,7 +68,7 @@ GAUSS_TABLE = {2: [(2, 1)], 3: [(1, 2)], 5: [(1, 1), (1, 1)], 13: [(1, 1), (1, 1
 def case_splitting(config: Config = DEFAULT):
     checked = skipped = 0
     for text in FIELD_CORPUS:
-        K = _field(text)
+        K = nf_create(text)
         for p in _primes_upto(50):
             try:
                 primes = primes_above(K, p)
@@ -87,7 +78,7 @@ def case_splitting(config: Config = DEFAULT):
             if sum(P.e * P.f for P in primes) != K.degree:
                 return False, f"sum e*f != degree for {text} at {p}"
             checked += 1
-    gauss = _field("X^2+1")
+    gauss = nf_create("X^2+1")
     for p, want in sorted(GAUSS_TABLE.items()):
         got = sorted((P.e, P.f) for P in primes_above(gauss, p))
         if got != sorted(want):
@@ -108,7 +99,7 @@ def _random_monic(K, rng, max_deg):
 
 def case_dense_witnesses(config: Config = DEFAULT):
     rng = random.Random(101)
-    fields = [_field("X"), _field("X^2+1"), _field("X^2-2")]
+    fields = [nf_create("X"), nf_create("X^2+1"), nf_create("X^2-2")]
     unit_pool = [1, 2, 3, 7, 9, Fraction(1, 3), Fraction(3, 7)]
     padic = 0
     while padic < 100:
@@ -131,7 +122,7 @@ def case_dense_witnesses(config: Config = DEFAULT):
             return False, f"p-adic defining membership failed at {p}"
         padic += 1
     ordering_cases = 0
-    real_fields = [_field("X"), _field("X^2-2"), _field("X^2-3")]
+    real_fields = [nf_create("X"), nf_create("X^2-2"), nf_create("X^2-3")]
     while ordering_cases < 50:
         K = real_fields[ordering_cases % len(real_fields)]
         P = rng.choice(K.orderings())
@@ -154,7 +145,7 @@ def case_dense_witnesses(config: Config = DEFAULT):
 
 def case_phi_law(config: Config = DEFAULT):
     rng = random.Random(202)
-    fields = [_field("X"), _field("X^2+1")]
+    fields = [nf_create("X"), nf_create("X^2+1")]
     combos = [(K, p, n) for K in fields for p in (2, 3, 5) for n in (1, 2, 3, 4)]
     per = math.ceil(10**4 / len(combos))
     total = 0
@@ -183,7 +174,7 @@ def case_phi_law(config: Config = DEFAULT):
 
 
 def case_zgroup_axioms(config: Config = DEFAULT):
-    Q = _field("X")
+    Q = nf_create("X")
     tau = PrimeType(1, 1)
     for p in (2, 3, 5):
         for n in (1, 2, 3, 4):
@@ -250,7 +241,7 @@ def brute_root_in_padic(g: QPoly, p: int, depth: int = 12) -> bool:
 
 
 def case_closure_oracle(config: Config = DEFAULT):
-    Q = _field("X")
+    Q = nf_create("X")
     span = range(-5, 6)
     compared = 0
     for p in (2, 3, 5, 7):
@@ -258,7 +249,7 @@ def case_closure_oracle(config: Config = DEFAULT):
         for deg in (1, 2, 3):
             for tail in itertools.product(span, repeat=deg):
                 qp = QPoly([Fraction(c) for c in tail] + [Fraction(1)])
-                g = KPoly(Q, [Q.rational(c) for c in qp.coeffs])
+                g = KPoly.from_qpoly(Q, qp)
                 mine = bool(has_root_in_closure(P, g))
                 brute = brute_root_in_padic(qp, p)
                 if mine != brute:
@@ -273,9 +264,9 @@ def case_closure_oracle(config: Config = DEFAULT):
 
 
 def case_ud_merge(config: Config = DEFAULT):
-    gauss = _field("X^2+1")
+    gauss = nf_create("X^2+1")
     S = primes_above(gauss, 13)
-    g = _kpoly(gauss, "X^2-3")
+    g = KPoly.from_qpoly(gauss, parse_poly("X^2-3"))
     a = gauss.rational(169)
     w = ud_witness(gauss, S, g, a, config)
     if w.witness != gauss.rational(108):
@@ -288,7 +279,7 @@ def case_ud_merge(config: Config = DEFAULT):
     done = 0
     while done < 20:
         text = rng.choice(list(split))
-        K = _field(text)
+        K = nf_create(text)
         p = rng.choice(split[text])
         S = primes_above(K, p)
         gg = _random_monic(K, rng, 2)
@@ -309,7 +300,7 @@ def case_ud_merge(config: Config = DEFAULT):
 
 
 def case_kochen(config: Config = DEFAULT):
-    Q = _field("X")
+    Q = nf_create("X")
     rng = random.Random(404)
     checked = 0
     while checked < 10**4:
@@ -344,9 +335,11 @@ def case_four_squares(config: Config = DEFAULT):
 
 
 def case_no_short_and_levels(config: Config = DEFAULT):
-    Q = _field("X")
+    Q = nf_create("X")
     P3 = primes_above(Q, 3)[0]
-    r = no_short_representation_check(P3, _kpoly(Q, "X^2+1"), Q.rational(3), 2, 1000, config)
+    r = no_short_representation_check(
+        P3, KPoly.from_qpoly(Q, parse_poly("X^2+1")), Q.rational(3), 2, 1000, config
+    )
     if r.status != "Certified":
         return False, f"pinned check not certified: {r.status}"
     for p in _primes_upto(499):
@@ -364,8 +357,8 @@ def case_no_short_and_levels(config: Config = DEFAULT):
 
 def case_chi_consistency(config: Config = DEFAULT):
     rng = random.Random(505)
-    Q = _field("X")
-    gauss = _field("X^2+1")
+    Q = nf_create("X")
+    gauss = nf_create("X^2+1")
     setups = [
         (Q, 5, PrimeType(1, 1)),
         (Q, 2, PrimeType(1, 1)),

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "prime_scope.cli"]
 
 
@@ -62,6 +64,25 @@ def test_valuation_of_zero_is_inf_with_exit_0():
 def test_valuate_ordering_sign():
     r = run("valuate", "--field", "X^2-2", "--p", "inf", "--index", "0", "--x", "[0, 1]")
     assert json.loads(r.stdout)["sign"] == -1
+
+
+@pytest.mark.parametrize("index,want", [(0, 1), (1, 0)])
+def test_valuate_below_the_default_first_precision(index, want):
+    # a cap under 16 still decides what it can reach: 2 + i at the two primes
+    # above 5
+    r = run("--precision-cap", "10", "valuate", "--field", "X^2+1", "--p", "5",
+            "--index", str(index), "--x", "[2, 1]")
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["valuation"] == want
+
+
+def test_valuate_precision_overflow_names_the_cap():
+    r = run("--precision-cap", "1", "valuate", "--field", "X^2+1", "--p", "5",
+            "--index", "0", "--x", "[2, 1]")
+    assert r.returncode == 1
+    out = json.loads(r.stdout)
+    assert out["error"] == "PrecisionOverflow"
+    assert out["detail"] == "valuation undecided at precision p^1"
 
 
 def test_domain_error_json_and_exit_1():

@@ -68,11 +68,41 @@ def test_tconst_accepts_int():
     assert TConst(7) == TConst(Fraction(7))
 
 
+def _node_pairs():
+    """(node, field-equal copy) for each node class; the TConst copies are
+    the normal forms of an int, a tuple with a trailing zero and a
+    FieldElement."""
+    x, two = TVar("x"), TConst(2)
+    r = FR(x)
+    return [
+        (TConst(7), TConst(Fraction(7))),
+        (TConst((Fraction(5), Fraction(0))), TConst(Fraction(5))),
+        (TConst(GAUSS.element([3, 2])), TConst((Fraction(3), Fraction(2)))),
+        (x, TVar("x")),
+        (TAdd(x, two), TAdd(TVar("x"), TConst(2))),
+        (TMul(x, two), TMul(TVar("x"), TConst(2))),
+        (TInv(x), TInv(TVar("x"))),
+        (FEq(x, two), FEq(TVar("x"), TConst(2))),
+        (r, FR(TVar("x"))),
+        (FNot(r), FNot(FR(x))),
+        (FAnd([r, r]), FAnd((r, FR(x)))),
+        (FOr([r, FNot(r)]), FOr((r, FNot(r)))),
+        (FImp(r, r), FImp(FR(x), r)),
+        (FAll("x", r), FAll("x", FR(x))),
+        (FEx("x", r), FEx("x", FR(x))),
+    ]
+
+
 def test_term_hashing():
     a = TMul(TVar("x"), TConst(2))
     b = TMul(TVar("x"), TConst(2))
     assert a == b and hash(a) == hash(b)
     assert a != TMul(TConst(2), TVar("x"))
+    assert TAdd(TVar("x"), TConst(2)) != a
+    for node, copy in _node_pairs():
+        assert node == copy and hash(node) == hash(copy)
+        assert repr(node) == print_formula(node)
+    assert len({type(node) for node, _ in _node_pairs()}) == 13
 
 
 def test_nary_connectives_need_two_args():
@@ -449,6 +479,14 @@ def test_roundtrip_100_random_formulas():
         text = print_formula(phi)
         assert parse_formula(text) == phi
         assert print_formula(parse_formula(text)) == text
+
+
+def test_roundtrip_emitted_chi_and_nu():
+    for p in (2, 3, 5):
+        for tau in (PrimeType(1, 1), PrimeType(2, 1), PrimeType(1, 2)):
+            emitted = [emit_chi(p, tau)] + [emit_nu(p, tau, n) for n in (1, 2, 3)]
+            for phi in emitted:
+                assert parse_formula(print_formula(phi)) == phi
 
 
 # ---------------------------------------------------------------------------

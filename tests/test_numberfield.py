@@ -1,6 +1,8 @@
 """Number field construction, element arithmetic, orderings, KPoly."""
 
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from prime_scope.numberfield import (
     real_embeddings,
     sign_at,
 )
-from prime_scope.qpoly import QPoly, parse_poly
+from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height
 
 from oracles import oracle_is_irreducible_over_q
 
@@ -263,6 +265,32 @@ def test_enumeration_degree_two_hits_everything_small():
     for a in (0, 1, -1):
         for b in (0, 1, -1):
             assert (Fraction(a), Fraction(b)) in seen
+    # zero, then the height-1 block in lexicographic order over 0, 1, -1
+    first = [x.coords for x in itertools.islice(elements_by_height(K), 9)]
+    assert first == [(0, 0), (0, 1), (0, -1), (1, 0), (1, 1), (1, -1), (-1, 0), (-1, 1), (-1, -1)]
+
+
+def test_enumeration_depth_does_not_grow_with_height():
+    # each height level once added a generator frame to every next(); with
+    # 60 spare frames, Q through height 150 raised RecursionError
+    K = nf_create("X")
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    got = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        for x in elements_by_height(K):
+            q = x.as_fraction()
+            if max(abs(q.numerator), q.denominator) > 150:
+                break
+            got.append(q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == list(itertools.islice(rationals_by_height(), len(got)))
+    assert got[-1] == Fraction(-149, 150)
 
 
 def test_enumeration_no_duplicates():
