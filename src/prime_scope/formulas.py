@@ -306,13 +306,20 @@ def rootless_poly(p: int, f_abs: int) -> QPoly:
     """Least monic integer polynomial (constant-coefficient-major scan over
     lifts in [0,p)) of the least prime degree > f_abs that is irreducible mod
     p.  Prime degree l > f_abs makes its roots generate F_{p^l}, which meets
-    F_{p^f_abs} only in F_p, so the reduction has no zero there."""
+    F_{p^f_abs} only in F_p, so the reduction has no zero there.
+
+    The scan starts at c_0 = 1: every candidate with c_0 = 0 is X times a
+    polynomial of degree l - 1 >= 1, hence reducible, so skipping those
+    p^(l-1) codes returns the same g.  About 1/l of the remaining candidates
+    are irreducible, so the expected cost is O(l) irreducibility tests."""
     if not is_prime(p):
         raise ValueError(f"not a rational prime: {p}")
+    if f_abs < 1:
+        raise ValueError(f"f_abs must be positive: {f_abs}")
     ell = _least_prime_above(f_abs)
     # (c_0, c_1, ..., c_{l-1}) lexicographically ascending: the constant
     # coefficient is the most significant digit of the counter
-    for code in range(p**ell):
+    for code in range(p ** (ell - 1), p**ell):
         coeffs = [(code // p ** (ell - 1 - i)) % p for i in range(ell)]
         if is_irreducible(tuple(coeffs + [1]), p):
             return QPoly([Fraction(c) for c in coeffs] + [Fraction(1)])

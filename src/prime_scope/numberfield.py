@@ -164,10 +164,7 @@ def certify_irreducible(f: QPoly) -> None:
         cof = f.exact_div(QPoly((-r, 1)))
         raise Reducible(f"({format_poly(QPoly((-r, 1)))})({format_poly(cof)})")
     for p in _small_primes(1000):
-        try:
-            red = reduce_qpoly_mod_p(fz, p)
-        except Exception:
-            continue
+        red = reduce_qpoly_mod_p(fz, p)
         if len(red) - 1 != n:
             continue
         if is_irreducible(red, p):

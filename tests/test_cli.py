@@ -10,13 +10,14 @@ import pytest
 CMD = [sys.executable, "-m", "prime_scope.cli"]
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=None):
     merged = dict(os.environ)
     merged.pop("PRIME_SCOPE_SEED", None)
     if env:
         merged.update(env)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=merged
+        CMD + list(args), capture_output=True, text=True, env=merged,
+        timeout=timeout,
     )
 
 
@@ -207,3 +208,25 @@ def test_composite_p_is_a_usage_error():
         ):
             r = run(*args)
             assert r.returncode == 2, (args, r.stdout, r.stderr)
+
+
+@pytest.mark.parametrize("f_abs", ["0", "-3"])
+def test_nonpositive_f_abs_is_a_usage_error(f_abs):
+    r = run("formula", "emit-phi", "--p", "7", "--f-abs", f_abs, "--n", "1")
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("formula", "emit-nu", "--p", "13", "--taue", "1", "--tauf", "3", "--n", "1"),
+        ("formula", "emit-phi", "--p", "13", "--f-abs", "5", "--n", "1"),
+    ],
+)
+def test_phi_verbs_at_large_degree_finish_fast(args):
+    # g has degree 5 resp. 7 here, so 13^4 resp. 13^6 candidates with
+    # constant coefficient 0 precede it in the scan order
+    r = run(*args, timeout=2.0)
+    assert r.returncode == 0, r.stderr
+    json.loads(r.stdout)

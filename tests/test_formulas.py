@@ -1,11 +1,14 @@
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import pytest
 from fractions import Fraction
 
 from prime_scope.errors import FormulaSyntaxError, InverseOfZero, Unsupported
+from prime_scope.ffield import is_irreducible
 from prime_scope.formulas import (
     EvalVerdict,
     FAll,
@@ -130,6 +133,64 @@ def test_rootless_poly_degree_is_least_prime_above_f():
     assert rootless_poly(2, 1).degree == 2
     assert rootless_poly(2, 2).degree == 3
     assert rootless_poly(3, 3).degree == 5
+
+
+def _rootless_reference(p, f_abs):
+    """The full constant-coefficient-major scan from code 0."""
+    ell = f_abs + 1
+    while any(ell % d == 0 for d in range(2, ell)):
+        ell += 1
+    for code in range(p**ell):
+        coeffs = [(code // p ** (ell - 1 - i)) % p for i in range(ell)]
+        if is_irreducible(tuple(coeffs + [1]), p):
+            return QPoly([Fraction(c) for c in coeffs] + [Fraction(1)])
+    raise AssertionError("no irreducible polynomial")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("f_abs", [1, 2, 3, 4])
+def test_rootless_poly_equals_full_scan(p, f_abs):
+    assert rootless_poly(p, f_abs) == _rootless_reference(p, f_abs)
+
+
+@pytest.mark.parametrize("f_abs", [0, -3])
+def test_rootless_poly_rejects_nonpositive_f(f_abs):
+    with pytest.raises(ValueError):
+        rootless_poly(7, f_abs)
+    with pytest.raises(ValueError):
+        build_phi_n(7, f_abs, 1)
+
+
+class _WallClockExceeded(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _wall_clock_limit(seconds):
+    """Interrupt the body with _WallClockExceeded after `seconds`."""
+
+    def fire(signum, frame):
+        raise _WallClockExceeded(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "p, f_abs, want",
+    [(13, 5, "X^7+10*X^6+1"), (101, 10, "X^11+22*X^10+1")],
+)
+def test_rootless_poly_large_degree_is_fast(p, f_abs, want):
+    # the scan skips the p^(l-1) candidates with c_0 = 0, so these take
+    # milliseconds; a scan through them would need p^(l-1) tests
+    with _wall_clock_limit(2.0):
+        g = rootless_poly(p, f_abs)
+    assert g == parse_poly(want)
 
 
 def test_phi_1_is_the_variable():

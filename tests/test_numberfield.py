@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import prime_scope.numberfield as numberfield_module
 from prime_scope.errors import (
     DivisionByZero,
     NotMonic,
@@ -63,6 +64,15 @@ def test_repeated_factor_is_refused():
 )
 def test_known_irreducibles_certify(text):
     nf_create(text)  # must not raise
+
+
+def test_certification_does_not_hide_reduction_errors(monkeypatch):
+    def broken(g, p):
+        raise TypeError("broken reduction")
+
+    monkeypatch.setattr(numberfield_module, "reduce_qpoly_mod_p", broken)
+    with pytest.raises(TypeError, match="broken reduction"):
+        nf_create("X^4+1")
 
 
 def test_certification_agrees_with_oracle_on_random_polys():
