@@ -30,7 +30,7 @@ from .errors import (
     Unsupported,
     ZeroDiscriminantUnhandled,
 )
-from .numberfield import FieldElement, KPoly, Ordering, format_element
+from .numberfield import FieldElement, KPoly, Ordering, format_element, parse_element
 from .primes import PValuation, Prime
 
 # hard stop for pathological residue searches (visited-node budget)
@@ -106,7 +106,7 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
     K = g.field
     t = P.uniformizer
     dH = H.derivative()
-    lifts = [P.lift_residue(r) for r in P.embedding().field.elements()]
+    lifts = [P.lift_residue(r) for r in P.residue_field.elements()]
     budget = [SEARCH_NODE_CAP]
 
     def dfs(x: FieldElement, depth: int):
@@ -156,13 +156,14 @@ def _canonical_truncation(P: PValuation, x: FieldElement, k: int) -> FieldElemen
     uniformizer.  For Q above p this is the least integer in [0, p^k)."""
     K = P.field
     t = P.uniformizer
+    t_inv = t.inverse()
     acc = K.zero()
     r = x
     tpow = K.one()
     for _ in range(k):
         d = P.lift_residue(P.residue(r))
         acc = acc + d * tpow
-        r = (r - d) * t.inverse()
+        r = (r - d) * t_inv
         tpow = tpow * t
     return acc
 
@@ -189,7 +190,7 @@ def padic_root(
     extra = 0
     while True:
         target_H = max(k + shift * H.degree + extra, 1)
-        x = _parse_cert_element(P.field, cert["residue"])
+        x = parse_element(P.field, cert["residue"])
         if cert["vg"] != "inf":
             b = cert["vdg"]
             assert b != "inf"
@@ -211,12 +212,6 @@ def padic_root(
             raise PrecisionOverflow("target valuation unreachable on g itself")
 
 
-def _parse_cert_element(field, literal: str) -> FieldElement:
-    from .numberfield import parse_element
-
-    return parse_element(field, literal)
-
-
 def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
     """Recheck a RootReport certificate from scratch, without trusting the
     search that produced it.  Positive hensel certificates recompute both
@@ -236,7 +231,7 @@ def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
         H, shift = _integralize(P, h)
         if shift != cert.get("shift"):
             return False
-        x = _parse_cert_element(P.field, cert["residue"])
+        x = parse_element(P.field, cert["residue"])
         a = P.valuation(H(x))
         b = P.valuation(H.derivative()(x))
         a_ok = (cert["vg"] == "inf" and a == math.inf) or a == cert["vg"]

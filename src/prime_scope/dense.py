@@ -415,9 +415,7 @@ def simultaneous_ball(
             if steps >= config.height_bound * (attempt + 1):
                 break
             steps += 1
-            den = 1
-            for c in m.coords:
-                den = den * c.denominator // math.gcd(den, c.denominator)
+            den = math.lcm(*(c.denominator for c in m.coords))
             if math.gcd(den, modulus) != 1:
                 continue
             x = x0 + K.rational(modulus) * m

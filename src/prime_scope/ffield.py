@@ -1,4 +1,4 @@
-"""Finite fields F_{p^f}, polynomial arithmetic mod p^k, and polynomial
+"""Finite fields F_p[Y]/(m), polynomial arithmetic mod p^k, and polynomial
 factorization over F_p.
 
 Polynomials are int tuples, lowest degree first, coefficients in [0, m),
@@ -6,8 +6,11 @@ trailing zeros stripped.  The kernel ``ftrim``/``fadd``/``fsub``/``fmul``/
 ``fdivmod``/``fmonic`` is valid modulo any m = p^k: it needs inputs already
 reduced into [0, m) (``fred`` does that once where raw integers enter), and a
 divisor or a polynomial made monic must have a unit leading coefficient, which
-over F_p means nonzero and mod p^k means prime to p.  Extension-field elements
-are coefficient tuples of length f modulo a canonical irreducible polynomial.
+over F_p means nonzero and mod p^k means prime to p.  A finite field is
+``FF(p, modulus)`` for a monic irreducible modulus of degree f over F_p, and
+its elements are coefficient tuples of length f; the residue field at a prime
+P of a number field is F_p[X]/(hbar_P) in exactly this form, and
+``irreducible_poly`` gives a canonical modulus of each degree.
 
 Factorization is squarefree split + distinct-degree + equal-degree
 (Cantor-Zassenhaus), with the equal-degree randomness drawn from a PRNG
@@ -224,6 +227,8 @@ def irreducible_poly(p: int, d: int) -> QPoly:
     """The canonical monic irreducible of degree d over F_p: candidates are
     X^d + c_{d-1}X^{d-1} + ... + c_0 scanned with (c_{d-1},...,c_0) as an
     ascending base-p counter, first irreducible wins."""
+    if not is_prime(p):
+        raise ValueError(f"not a rational prime: {p}")
     if d < 1:
         raise ValueError("degree must be positive")
     for k in range(p ** d):
@@ -358,22 +363,26 @@ def poly_factor_mod_p(g: QPoly, p: int) -> list[tuple[QPoly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the canonical field F_{p^f}
+# the field F_p[Y]/(m)
 # ---------------------------------------------------------------------------
 
 class FF:
-    """F_{p^f} as F_p[Y] modulo the canonical irreducible of degree f."""
+    """F_{p^f} as F_p[Y] modulo a monic irreducible m of degree f, given as a
+    reduced int tuple; one object per (p, m), so elements compare by field
+    identity."""
 
-    _cache: dict[tuple[int, int], "FF"] = {}
+    _cache: dict[tuple[int, FPoly], "FF"] = {}
 
-    def __new__(cls, p: int, f: int):
-        key = (p, f)
+    def __new__(cls, p: int, modulus: Sequence[int]):
+        key = (p, tuple(modulus))
         if key not in cls._cache:
             if not is_prime(p):
                 raise ValueError(f"not a rational prime: {p}")
+            m = key[1]
+            if m != fred(m, p) or len(m) < 2 or m[-1] != 1 or not is_irreducible(m, p):
+                raise ValueError(f"not a reduced monic irreducible mod {p}: {m}")
             obj = super().__new__(cls)
-            obj.p, obj.f = p, f
-            obj.modulus = ftrim([int(c) for c in irreducible_poly(p, f).coeffs])
+            obj.p, obj.f, obj.modulus = p, len(m) - 1, m
             cls._cache[key] = obj
         return cls._cache[key]
 
@@ -394,9 +403,6 @@ class FF:
     def one(self) -> "FFElem":
         return self.element([1])
 
-    def gen(self) -> "FFElem":
-        return self.element([0, 1])
-
     def elements(self):
         """All elements, in base-p counter order of coefficient vectors."""
         for k in range(self.order):
@@ -407,7 +413,7 @@ class FF:
             yield FFElem(self, tuple(cs))
 
     def __repr__(self):
-        return f"FF({self.p},{self.f})"
+        return f"FF({self.p},{list(self.modulus)})"
 
 
 class FFElem:

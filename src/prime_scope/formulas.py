@@ -29,7 +29,7 @@ from fractions import Fraction
 from .config import DEFAULT, Config
 from .errors import FormulaSyntaxError, InverseOfZero, Unsupported
 from .ffield import is_irreducible, is_prime
-from .numberfield import RAT_RE, FieldElement, NumberField, elements_by_height
+from .numberfield import RAT_RE, FieldElement, NumberField, elements_by_height, format_element
 from .primes import PrimeType, holomorphy_member, is_infinite_place, primes_of_type
 from .qpoly import QPoly
 
@@ -503,8 +503,6 @@ class EvalVerdict:
         if self.bound is not None:
             out["bound"] = self.bound
         if self.witness is not None:
-            from .numberfield import format_element
-
             out["witness"] = format_element(self.witness)
         return out
 

@@ -1,14 +1,14 @@
 """Local machinery at a finite prime: Dedekind's criterion, Hensel lifting of
-the block factorization f = prod h_i^{e_i} to prime-power precision, and the
-residue-field embedding data used by valuations and residue maps.
+the block factorization f = prod h_i^{e_i} to prime-power precision used by
+valuations and residue maps, and root finding over a finite field.
 
 Everything here works on monic integer polynomials in the ``ffield`` kernel's
 form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 All lifts carry exact congruence certificates; asserts reverify the defining
 identities at each doubling step, so a lift that returns is correct by
 construction.  The module has no polynomial arithmetic of its own: root
-finding and evaluation over a residue field F_q run on numberfield's KPoly
-with FFElem coefficients.
+finding over a residue field F_q = ffield.FF(p, hbar) runs on numberfield's
+KPoly with FFElem coefficients.
 """
 
 from __future__ import annotations
@@ -193,61 +193,6 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
 
     split(h)
     return sorted(roots, key=lambda r: r.key())
-
-
-# ---------------------------------------------------------------------------
-# residue embedding: F_p[X]/(hbar) -> FF(p, f), canonically
-# ---------------------------------------------------------------------------
-
-def _mat_inv_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    n = len(rows)
-    a = [list(map(lambda v: v % p, row)) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] % p != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(v * inv) % p for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] % p:
-                fac = a[r][col]
-                a[r] = [(a[r][k] - fac * a[col][k]) % p for k in range(2 * n)]
-    return [row[n:] for row in a]
-
-
-class ResidueEmbedding:
-    """Identification of F_p[X]/(hbar) with the canonical FF(p, f).
-
-    rho is the least root of hbar in FF(p, f); classes of polynomials in X map
-    by evaluation at rho.  The inverse matrix recovers, for a residue r, the
-    digit vector (b_0..b_{f-1}) with r = sum b_l rho^l, which names the
-    canonical lift sum b_l alpha^l of r."""
-
-    def __init__(self, p: int, hbar: tuple[int, ...]):
-        f = len(hbar) - 1
-        self.p = p
-        self.f = f
-        self.field = FF(p, f)
-        consts = [self.field.element([c]) for c in hbar]
-        roots = ff_poly_roots(self.field, consts)
-        assert len(roots) == f, "irreducible factor must split in its own field"
-        self.rho = roots[0]
-        self.rho_powers = [self.field.one()]
-        for _ in range(1, f):
-            self.rho_powers.append(self.rho_powers[-1] * self.rho)
-        # columns are coords of rho^l; invert to map residues back to digits
-        mat = [[self.rho_powers[l].coeffs[row] for l in range(f)] for row in range(f)]
-        self.inv_mat = _mat_inv_mod_p(mat, p)
-
-    def eval_poly(self, coeffs_mod_p: list[int]) -> FFElem:
-        """Class of sum c_k X^k, evaluated at rho."""
-        return KPoly(self.field, [self.field.element([c]) for c in coeffs_mod_p])(self.rho)
-
-    def digits(self, r: FFElem) -> list[int]:
-        """b with r = sum b_l rho^l, each b_l in [0, p)."""
-        return [
-            sum(self.inv_mat[i][j] * r.coeffs[j] for j in range(self.f)) % self.p
-            for i in range(self.f)
-        ]
 
 
 def vp_int(n: int, p: int) -> int:

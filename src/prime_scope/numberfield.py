@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count, product
-from math import gcd as int_gcd
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     Reducible,
     UncertifiedIrreducibility,
 )
-from .ffield import is_irreducible, reduce_qpoly_mod_p
+from .ffield import is_irreducible, is_prime, reduce_qpoly_mod_p
 from .qpoly import (
     QPoly,
     format_poly,
@@ -36,20 +36,8 @@ from .qpoly import (
     sturm_sequence,
 )
 
-_SMALL_PRIMES: list[int] = []
-
-
-def _small_primes(limit: int) -> list[int]:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES and _SMALL_PRIMES[-1] >= limit:
-        return [p for p in _SMALL_PRIMES if p <= limit]
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    _SMALL_PRIMES = [i for i in range(limit + 1) if sieve[i]]
-    return _SMALL_PRIMES
+# the primes certify_irreducible tries for a mod-p irreducibility certificate
+_CERTIFICATE_PRIMES = tuple(p for p in range(1001) if is_prime(p))
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +71,7 @@ def _integer_monic_form(f: QPoly) -> tuple[QPoly, Fraction]:
 
     Irreducibility of g and f are equivalent (the substitution is invertible
     over Q)."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in f.coeffs))
     if den == 1:
         return f, Fraction(1)
     m = Fraction(den)
@@ -163,7 +149,7 @@ def certify_irreducible(f: QPoly) -> None:
         r = roots[0] / _m
         cof = f.exact_div(QPoly((-r, 1)))
         raise Reducible(f"({format_poly(QPoly((-r, 1)))})({format_poly(cof)})")
-    for p in _small_primes(1000):
+    for p in _CERTIFICATE_PRIMES:
         red = reduce_qpoly_mod_p(fz, p)
         if len(red) - 1 != n:
             continue

@@ -22,9 +22,8 @@ from .errors import (
     PrecisionOverflow,
     Unsupported,
 )
-from .ffield import FFElem, fdivmod, ff_is_square, fred, is_prime
+from .ffield import FF, FFElem, fdivmod, ff_is_square, fred, is_prime
 from .localdata import (
-    ResidueEmbedding,
     dedekind_applies,
     lift_block_factorization,
     vp_fraction,
@@ -32,6 +31,7 @@ from .localdata import (
 )
 from .numberfield import (
     FieldElement,
+    KPoly,
     NumberField,
     Ordering,
     elements_by_height,
@@ -71,8 +71,9 @@ class PrimeType:
 
 class PValuation:
     """A prime of K above the rational prime p, i.e. a normalized p-valuation
-    v with v(K^x) = Z.  Carries e, f, the mod-p local factor, a uniformizer,
-    and lazily grown Hensel lift data.
+    v with v(K^x) = Z.  Carries e, f, the mod-p local factor hbar, the
+    residue field F_p[X]/(hbar) (by Dedekind-Kummer, X is the class of the
+    generator), a uniformizer, and lazily grown Hensel lift data.
 
     `lifts` maps a precision N to lift_block_factorization(f, p, N); the
     primes above p share one such dict, so a lift made for one of them serves
@@ -88,7 +89,7 @@ class PValuation:
         self.e = e
         self.f = len(hbar) - 1
         self._lifts = lifts
-        self._embedding: ResidueEmbedding | None = None
+        self.residue_field = FF(p, hbar)
         if e == 1:
             self.uniformizer = field.rational(p)
         else:
@@ -105,11 +106,6 @@ class PValuation:
         if N not in self._lifts:
             self._lifts[N] = lift_block_factorization(self.field.poly, self.p, N)
         return self._lifts[N][self.index][2]
-
-    def embedding(self) -> ResidueEmbedding:
-        if self._embedding is None:
-            self._embedding = ResidueEmbedding(self.p, self.hbar)
-        return self._embedding
 
     # --- core operations --------------------------------------------------
     def valuation(self, x: FieldElement, precision_cap: int = DEFAULT.precision_cap):
@@ -137,21 +133,22 @@ class PValuation:
             N = min(2 * N, precision_cap)
 
     def residue(self, x: FieldElement) -> FFElem:
-        """Image of x in the residue field F_{p^f} (canonical model)."""
-        emb = self.embedding()
+        """Image of x in the residue field F_p[X]/(hbar): the numerator of x,
+        reduced modulo the block lift and read off in its p^k digit, is a
+        polynomial in X, scaled by the inverse of the part of the
+        denominator prime to p."""
+        k_P = self.residue_field
         if x.is_zero:
-            return emb.field.zero()
+            return k_P.zero()
         v = self.valuation(x)
         if v < 0:
             raise NegativeValuation(f"residue of element with v = {v}")
         if v > 0:
-            return emb.field.zero()
+            return k_P.zero()
         p = self.p
-        den = 1
-        for c in x.coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in x.coords))
         k = vp_int(den, p)
-        d0 = den // p**k
+        d0_inv = pow(den // p**k, -1, p)
         H = [int(c * den) for c in x.coords]
         M_exp = k + 1
         N = max(16, M_exp)
@@ -162,16 +159,14 @@ class PValuation:
         for c in rem:
             q, r = divmod(c % mod, p**k)
             assert r == 0, "p-integral element left a nonzero low digit"
-            digits.append(q % p)
-        w = emb.eval_poly(digits)
-        return w * emb.field.element([pow(d0, -1, p)])
+            digits.append(q * d0_inv)
+        return k_P.element(digits)
 
     def lift_residue(self, r: FFElem) -> FieldElement:
-        """The canonical preimage of r among sums b_0 + b_1 a + ... with
-        digits 0 <= b_l < p over the first f powers of the generator."""
-        emb = self.embedding()
-        b = emb.digits(r)
-        return self.field.element([Fraction(v) for v in b])
+        """The canonical preimage of r: its coefficients b_0, ..., b_{f-1}
+        in [0, p) over 1, X, ..., X^{f-1} give b_0 + b_1 a + ... over the
+        first f powers of the generator a."""
+        return self.field.element(r.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -230,6 +225,7 @@ def valuation(P: PValuation, x: FieldElement, precision_cap: int = DEFAULT.preci
 
 
 def residue(P: PValuation, x: FieldElement) -> FFElem:
+    """The image of x in P.residue_field = F_p[X]/(hbar_P)."""
     return P.residue(x)
 
 
@@ -296,6 +292,7 @@ def holomorphy_member(
 # ---------------------------------------------------------------------------
 
 _BEHAVIORS = ("split", "inert", "ramified")
+_ODD_PRIMES_BELOW_100 = tuple(ell for ell in range(3, 100) if is_prime(ell))
 
 
 def _nonsquare_in_field(K: NumberField, d: FieldElement) -> bool:
@@ -307,7 +304,7 @@ def _nonsquare_in_field(K: NumberField, d: FieldElement) -> bool:
     for O in real_embeddings(K):
         if O.sign(d) < 0:
             return True
-    for ell in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
+    for ell in _ODD_PRIMES_BELOW_100:
         try:
             primes = primes_above(K, ell)
         except (IndexDivisible, Unsupported):
@@ -370,7 +367,7 @@ def quadratic_step_search(
 def _verify_quadratic_step(K, p, primes, want, d) -> None:
     from .closure import has_root_in_closure
 
-    g = _kpoly_x2_minus(K, d)
+    g = KPoly(K, [-d, K.zero(), K.one()])
     for i, b in want.items():
         P = primes[i]
         v = P.valuation(d)
@@ -398,8 +395,3 @@ def _verify_quadratic_step(K, p, primes, want, d) -> None:
         }[next(iter(want.values()))]
         assert shapes == expect, "literal re-split disagreed"
 
-
-def _kpoly_x2_minus(K: NumberField, d: FieldElement):
-    from .numberfield import KPoly
-
-    return KPoly(K, [-d, K.zero(), K.one()])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormulaSyntaxError
@@ -236,9 +236,7 @@ class QPoly:
         and A a primitive integer coefficient vector."""
         if self.is_zero:
             return Fraction(0), ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         g = 0
         for v in ints:

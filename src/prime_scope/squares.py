@@ -22,7 +22,8 @@ from .errors import (
     PrecisionOverflow,
     ZeroElement,
 )
-from .ffield import FF, ff_is_square, is_prime
+from .ffield import FF, ff_is_square, irreducible_poly, is_prime, reduce_qpoly_mod_p
+from .localdata import ff_poly_roots
 from .numberfield import (
     FieldElement,
     KPoly,
@@ -189,7 +190,7 @@ def level_finite_field(p: int, f: int) -> int:
     """Level of F_{p^f}: least s with -1 a sum of s squares; always 1 or 2."""
     if p == 2:
         return 1
-    F = FF(p, f)
+    F = FF(p, reduce_qpoly_mod_p(irreducible_poly(p, f), p))
     minus_one = F.element([-1])
     return 1 if ff_is_square(minus_one) else 2
 
@@ -221,9 +222,7 @@ class ShortCheckResult:
 
 
 def _reduction_has_root(P: PValuation, g: KPoly) -> bool:
-    F = FF(P.p, P.f)
-    gbar = KPoly(F, [residue(P, c) for c in g.coeffs])
-    return any(gbar(t).is_zero for t in F.elements())
+    return bool(ff_poly_roots(P.residue_field, [residue(P, c) for c in g.coeffs]))
 
 
 def no_short_representation_check(

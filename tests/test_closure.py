@@ -13,8 +13,9 @@ from prime_scope.closure import (
     verify_root_report,
 )
 from prime_scope.errors import NonMonic, NoRoot
+from prime_scope.ffield import ff_is_square
 from prime_scope.numberfield import KPoly, nf_create, real_embeddings
-from prime_scope.primes import primes_above, valuation
+from prime_scope.primes import primes_above, residue, valuation
 from prime_scope.qpoly import QPoly, parse_poly
 
 from oracles import oracle_padic_root_exists
@@ -29,6 +30,36 @@ def kp(field, text):
 
 
 # --- p-adic existence ---------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "K, p, index", [(GAUSS, 3, 0), (nf_create("X^3-2"), 5, 1)], ids=["gauss3", "cbrt2at5"]
+)
+def test_square_roots_at_f2_primes_follow_hensel(K, p, index):
+    # at an odd unramified prime, u is a square in the completion exactly when
+    # v(u) is even and the unit u * p^(-v) has a square residue
+    P = primes_above(K, p)[index]
+    assert P.f == 2 and P.e == 1
+    rng = random.Random(41 + p)
+    dens = (1, 1, 2, p, p * p)
+    pool = [
+        K.element([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(K.degree)])
+        for _ in range(24)
+    ]
+    pool += [K.rational(p) * x * x for x in pool[:6] if not x.is_zero]
+    seen = set()
+    for u in pool:
+        if u.is_zero:
+            continue
+        g = KPoly(K, [-u, K.zero(), K.one()])
+        report = has_root_in_closure(P, g)
+        v = valuation(P, u)
+        unit = u * P.uniformizer ** (-v)
+        expect = v % 2 == 0 and ff_is_square(residue(P, unit))
+        assert report.has_root == expect, u
+        assert verify_root_report(P, g, report)
+        seen.add(expect)
+    assert seen == {True, False}
+
 
 def test_root_mod5_exists():
     (P,) = primes_above(RAT, 5)

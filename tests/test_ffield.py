@@ -20,11 +20,17 @@ from prime_scope.ffield import (
     irreducible_poly,
     is_prime,
     poly_factor_mod_p,
+    reduce_qpoly_mod_p,
 )
 from prime_scope.localdata import ff_poly_roots
 from prime_scope.qpoly import QPoly, parse_poly
 
 from oracles import oracle_factor_mod_p
+
+
+def _canonical_ff(p, f):
+    """F_{p^f} modulo the canonical irreducible of degree f."""
+    return FF(p, reduce_qpoly_mod_p(irreducible_poly(p, f), p))
 
 
 def test_factor_pinned_split():
@@ -94,7 +100,7 @@ def test_irreducible_poly_is_irreducible():
 
 
 def test_ffield_order_pinned():
-    F5 = FF(5, 1)
+    F5 = _canonical_ff(5, 1)
     assert ffield_order(F5.element([2])) == 4
     assert ffield_order(F5.element([4])) == 2
     assert ffield_order(F5.element([1])) == 1
@@ -103,7 +109,7 @@ def test_ffield_order_pinned():
 
 
 def test_ffield_order_divides_group_order():
-    F = FF(3, 2)
+    F = _canonical_ff(3, 2)
     for x in F.elements():
         if x.is_zero:
             continue
@@ -112,7 +118,7 @@ def test_ffield_order_divides_group_order():
 
 
 def test_ff_arithmetic_field_axioms():
-    F = FF(2, 3)
+    F = _canonical_ff(2, 3)
     xs = list(F.elements())
     assert len(xs) == 8
     for a in xs:
@@ -125,7 +131,7 @@ def test_ff_arithmetic_field_axioms():
 def test_ff_is_square_counts():
     # in odd F_q exactly (q+1)/2 elements are squares (0 included)
     for (p, f) in [(3, 1), (5, 1), (3, 2), (7, 1)]:
-        F = FF(p, f)
+        F = _canonical_ff(p, f)
         n = sum(1 for x in F.elements() if ff_is_square(x))
         assert n == (F.order + 1) // 2
 
@@ -153,7 +159,7 @@ def _brute_roots(F, cs):
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_ff_poly_roots_match_brute_force(p, f):
     # p = 2 runs the trace splitter, odd p the quadratic-character one
-    F = FF(p, f)
+    F = _canonical_ff(p, f)
     els = list(F.elements())  # ascending key order, as ff_poly_roots sorts
     rng = random.Random(97 * p + f)
     rootless = next(
@@ -217,4 +223,35 @@ def test_is_prime_refuses_beyond_its_proven_range():
 @pytest.mark.parametrize("p", [4, 9, 15])
 def test_finite_field_rejects_composite_p(p):
     with pytest.raises(ValueError):
-        FF(p, 2)
+        FF(p, (1, 1, 1))
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_irreducible_poly_rejects_composite_p(p):
+    # a composite p used to get X^2+1 back (p = 15) or a bare AssertionError
+    with pytest.raises(ValueError):
+        irreducible_poly(p, 2)
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [
+        (5, (1, 0, 1)),  # X^2+1 = (X+2)(X+3) mod 5
+        (3, (1, 0, 2)),  # not monic
+        (3, (4, 0, 1)),  # coefficient not reduced into [0, 3)
+        (3, (-1, 0, 1)),
+        (3, (1, 1, 0)),  # trailing zero: not in the kernel's trimmed form
+        (3, (1,)),  # constant
+        (3, ()),
+    ],
+)
+def test_finite_field_rejects_bad_modulus(p, modulus):
+    with pytest.raises(ValueError):
+        FF(p, modulus)
+
+
+def test_finite_field_is_one_object_per_modulus():
+    F = FF(3, (1, 0, 1))
+    assert FF(3, [1, 0, 1]) is F
+    assert (F.p, F.f, F.modulus) == (3, 2, (1, 0, 1))
+    assert FF(3, (2, 2, 1)) is not F

@@ -1,4 +1,5 @@
-"""Module boundaries: no package module imports a private name from a sibling."""
+"""Module boundaries: no package module imports a private name from a sibling,
+and no function re-imports from a sibling its module imports at top level."""
 
 import ast
 import pathlib
@@ -22,3 +23,32 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_")
             ]
     assert not private, private
+
+
+def _sibling(node):
+    """The sibling module an ImportFrom names, or None for other packages."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and (node.module or "").startswith("prime_scope."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def test_no_function_local_import_from_a_top_level_sibling():
+    # a function-local import is kept only to break an import cycle; a sibling
+    # the module already imports at top level has no cycle to break
+    local = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        top = {
+            _sibling(node) for node in tree.body if isinstance(node, ast.ImportFrom)
+        } - {None}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            local |= {
+                f"{path.name}:{node.lineno} {node.module}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.ImportFrom) and _sibling(node) in top
+            }
+    assert not local, sorted(local)

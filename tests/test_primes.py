@@ -140,7 +140,7 @@ def test_valuation_cubic_field():
 def test_residue_rational():
     (P,) = primes_above(RAT, 5)
     r = residue(P, RAT.rational(7))
-    assert r == P.embedding().field.element([2])
+    assert r == P.residue_field.element([2])
     with pytest.raises(NegativeValuation):
         residue(P, RAT.rational(Fraction(1, 5)))
     assert residue(P, RAT.rational(Fraction(1, 2))).coeffs == (3,)  # 1/2 = 3 mod 5
@@ -149,9 +149,10 @@ def test_residue_rational():
 def test_residue_generates_f9():
     (P,) = primes_above(GAUSS, 3)
     r = residue(P, GAUSS.gen())
-    F9 = P.embedding().field
+    F9 = P.residue_field
+    assert F9.modulus == (1, 0, 1)  # F_3[X]/(X^2+1), X the class of i
     assert r * r == -F9.one()
-    assert r.coeffs[1] != 0  # genuinely outside the prime subfield
+    assert r.coeffs == (0, 1)  # genuinely outside the prime subfield
 
 
 def test_residue_is_multiplicative():
@@ -168,6 +169,59 @@ def test_residue_is_multiplicative():
         assert residue(P, a + b) == residue(P, a) + residue(P, b)
 
 
+# primes with residue degree f >= 2: the inert 3 in Q(i), the f = 2 prime
+# above 5 in Q(cbrt 2) (X^3-2 = (X+2)(X^2+3X+4) mod 5), and 2 in X^3+X+1
+CBRT2 = nf_create("X^3-2")
+CUBIC = nf_create("X^3+X+1")
+HIGH_F = [
+    primes_above(GAUSS, 3)[0],
+    primes_above(CBRT2, 5)[1],
+    primes_above(CUBIC, 2)[0],
+]
+
+
+def _pool(K, p, seed, n=40):
+    rng = random.Random(seed)
+    dens = (1, 1, 1, 2, p, p * p)
+    return [
+        K.element([Fraction(rng.randint(-12, 12), rng.choice(dens)) for _ in range(K.degree)])
+        for _ in range(n)
+    ]
+
+
+def test_high_f_primes_are_the_expected_ones():
+    assert [(P.e, P.f, P.residue_field.modulus) for P in HIGH_F] == [
+        (1, 2, (1, 0, 1)),
+        (1, 2, (4, 3, 1)),
+        (1, 3, (1, 1, 0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("P", HIGH_F, ids=lambda P: f"p{P.p}f{P.f}")
+def test_residue_is_a_ring_map_at_high_f(P):
+    K, k_P = P.field, P.residue_field
+    xs = [x for x in _pool(K, P.p, 5 * P.p, 60) if x.is_zero or valuation(P, x) >= 0]
+    assert len(xs) >= 20
+    for a, b in zip(xs, xs[1:] + xs[:1]):
+        ra, rb = residue(P, a), residue(P, b)
+        assert ra.field is k_P
+        assert residue(P, a * b) == ra * rb
+        assert residue(P, a + b) == ra + rb
+        assert residue(P, a - b) == ra - rb
+    assert residue(P, K.gen()) == k_P.element([0, 1])
+    assert residue(P, K.one()) == k_P.one()
+
+
+@pytest.mark.parametrize("P", HIGH_F, ids=lambda P: f"p{P.p}f{P.f}")
+def test_lift_residue_is_a_section_at_high_f(P):
+    for r in P.residue_field.elements():
+        x = P.lift_residue(r)
+        assert residue(P, x) == r
+        assert all(c.denominator == 1 and 0 <= c < P.p for c in x.coords)
+        assert list(x.coords[: P.f]) == list(r.coeffs)
+        assert not any(x.coords[P.f :])
+
+
 def test_residue_with_denominator():
     # (2+i)/5 = 1/(2-i) has v = 0 at the index-0 prime above 5 (factor X+2),
     # and its residue is the inverse of residue(2-i) = 4, which is 4 again
@@ -176,12 +230,12 @@ def test_residue_with_denominator():
     assert valuation(P0, x) == 0
     assert valuation(P1, x) == -1
     r = residue(P0, x)
-    assert r == P0.embedding().field.element([4])
+    assert r == P0.residue_field.element([4])
 
 
 def test_lift_residue_roundtrip():
     (P,) = primes_above(GAUSS, 3)
-    F9 = P.embedding().field
+    F9 = P.residue_field
     for r in F9.elements():
         x = P.lift_residue(r)
         assert residue(P, x) == r
