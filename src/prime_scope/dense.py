@@ -33,7 +33,6 @@ from .errors import (
 )
 from .closure import has_root_in_closure, padic_root
 from .ffield import bezout_lift, fdivmod, fext_gcd, fmul, fred
-from .localdata import lift_block_factorization
 from .numberfield import (
     FieldElement,
     KPoly,
@@ -218,7 +217,7 @@ def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
     eps_j = w*C mod f, where C is the product of the other block lifts and
     u*F + w*C = 1 mod p^N with F the j-th block lift: the Bezout pair over F_p
     is lifted by Newton steps, each squaring the precision."""
-    blocks = lift_block_factorization(K.poly, p, N)
+    blocks = [P.block(N) for P in primes_above(K, p)]
     mod = p**N
     f_mod = fred([int(c) for c in K.poly.coeffs], mod)
     out = []
@@ -226,7 +225,7 @@ def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
         if len(blocks) == 1:
             out.append(K.one())
             continue
-        F = blocks[j][2]
+        F = blocks[j]
         C = _other_blocks(blocks, j, mod)
         g, u, w = fext_gcd(fred(F, p), fred(C, p), p)
         if g != (1,):
@@ -247,7 +246,7 @@ def _other_blocks(blocks, j: int, mod: int) -> tuple[int, ...]:
     C = (1,)
     for i, blk in enumerate(blocks):
         if i != j:
-            C = fmul(C, blk[2], mod)
+            C = fmul(C, blk, mod)
     return C
 
 
@@ -311,7 +310,7 @@ def weak_approx_value(K: NumberField, parts, config: Config = DEFAULT) -> FieldE
     shifted = {P.index: t + M_shift * P.e for P, t in constrained}
     N = max(2, max(shifted.values()) + 1)
 
-    blocks = lift_block_factorization(K.poly, p, N)
+    blocks = [P.block(N) for P in primes]
     mod = p**N
     acc = K.zero()
     for P in primes:

@@ -41,10 +41,6 @@ ZeroElement = _make("ZeroElement", "The zero element has no multiplicative order
 # number-field layer
 NotMonic = _make("NotMonic", "Defining or input polynomial must be monic.")
 Reducible = _make("Reducible", "Polynomial is reducible; detail carries a witness factor.")
-UncertifiedIrreducibility = _make(
-    "UncertifiedIrreducibility",
-    "Irreducibility could not be certified by the implemented pipeline.",
-)
 DivisionByZero = _make("DivisionByZero", "Inversion of the zero element.")
 
 # prime engine

@@ -15,7 +15,10 @@ P of a number field is F_p[X]/(hbar_P) in exactly this form, and
 Factorization is squarefree split + distinct-degree + equal-degree
 (Cantor-Zassenhaus), with the equal-degree randomness drawn from a PRNG
 seeded deterministically from the input polynomial and p, so results never
-depend on run order.
+depend on run order.  ``hensel_lift`` lifts a factorization into pairwise
+coprime factors mod p to one mod p^N by quadratic steps, reverifying the
+product and Bezout identities at each step; it serves both the block lifts
+at a prime of a number field and the irreducibility certificate over Q.
 """
 
 from __future__ import annotations
@@ -177,6 +180,55 @@ def bezout_lift(g: FPoly, h: FPoly, s: FPoly, t: FPoly, m: int) -> tuple[FPoly, 
     t2 = fsub(fsub(t, fmul(t, b, m), m), fmul(c, g, m), m)
     assert fadd(fmul(s2, g, m), fmul(t2, h, m), m) == (1,), "bezout lift failed"
     return s2, t2
+
+
+def _hensel_step(f, g, h, s, t, m: int, mm: int):
+    """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the same
+    identities mod mm, where m | mm | m^2; g, h stay monic of fixed degree and
+    f is reduced mod mm.
+
+    The correction terms live at low degree: writing e = f - g*h and
+    s*e = q*h + r, the update (g + t*e + q*g, h + r) multiplies back to f
+    modulo m^2 (hence mod mm) because s*g + t*h = 1 kills the cross terms;
+    coefficients of the g-update above deg g cancel since the product is
+    monic of degree deg f.  Capping at mm matters when f itself is only known
+    to that precision, as happens for peeled cofactors."""
+    e = fsub(f, fmul(g, h, mm), mm)
+    assert all(c % m == 0 for c in e), "input factorization invalid"
+    q, r = fdivmod(fmul(s, e, mm), h, mm)
+    g2 = fadd(g, fadd(fmul(t, e, mm), fmul(q, g, mm), mm), mm)
+    h2 = fadd(h, r, mm)
+    assert len(g2) == len(g) and g2[-1] == 1, "factor lift lost monicity"
+    assert len(h2) == len(h) and h2[-1] == 1
+    assert not fsub(f, fmul(g2, h2, mm), mm), "factor lift broke product"
+    s2, t2 = bezout_lift(g2, h2, s, t, mm)
+    return g2, h2, s2, t2
+
+
+def hensel_lift(f: Sequence[int], factors: Sequence[FPoly], p: int, N: int) -> list[FPoly]:
+    """Lift f = prod factors (mod p), for monic integer f and pairwise coprime
+    monic factors over F_p, to monic F_i = factors[i] (mod p) with
+    prod F_i = f (mod p^N); such lifts are unique, with coefficients in
+    [0, p^N).
+
+    The factors are peeled off in order: each is lifted against the product
+    of those after it, and the lifted cofactor carries on to the next."""
+    rem = fred(f, p**N)
+    out = []
+    for i, g in enumerate(factors[:-1]):
+        h = (1,)
+        for other in factors[i + 1 :]:
+            h = fmul(h, other, p)
+        _, s, t = fext_gcd(g, h, p)
+        k = 1
+        while k < N:
+            kk = min(2 * k, N)
+            g, h, s, t = _hensel_step(fred(rem, p**kk), g, h, s, t, p**k, p**kk)
+            k = kk
+        out.append(g)
+        rem = h
+    out.append(rem)
+    return out
 
 
 def fpowmod(a: FPoly, e: int, m: FPoly, p: int) -> FPoly:

@@ -1,14 +1,14 @@
-"""Local machinery at a finite prime: Dedekind's criterion, Hensel lifting of
-the block factorization f = prod h_i^{e_i} to prime-power precision used by
+"""Local machinery at a finite prime: Dedekind's criterion, the block
+factorization f = prod h_i^{e_i} mod p lifted to prime-power precision for
 valuations and residue maps, and root finding over a finite field.
 
 Everything here works on monic integer polynomials in the ``ffield`` kernel's
 form (int tuples, lowest degree first) with coefficients reduced into [0, m).
-All lifts carry exact congruence certificates; asserts reverify the defining
-identities at each doubling step, so a lift that returns is correct by
-construction.  The module has no polynomial arithmetic of its own: root
-finding over a residue field F_q = ffield.FF(p, hbar) runs on numberfield's
-KPoly with FFElem coefficients.
+The module has no polynomial arithmetic of its own: the blocks are lifted by
+``ffield.hensel_lift``, whose asserts reverify the defining identities at
+each doubling step, and root finding over a residue field
+F_q = ffield.FF(p, hbar) runs on numberfield's KPoly with FFElem
+coefficients.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from .errors import ZeroElement
 from .ffield import (
     FF,
     FFElem,
-    bezout_lift,
-    fadd,
     fdivmod,
-    fext_gcd,
     fgcd,
     fmul,
     fred,
     fsub,
     ftrim,
+    hensel_lift,
     poly_factor_mod_p,
     reduce_qpoly_mod_p,
 )
@@ -44,46 +42,6 @@ def _as_ints(f: QPoly) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# quadratic Hensel lifting of a coprime pair
-# ---------------------------------------------------------------------------
-
-def _hensel_pair_step(f, g, h, s, t, m: int, mm: int):
-    """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the same
-    identities mod mm, where m | mm | m^2; g, h stay monic of fixed degree and
-    f is reduced mod mm.
-
-    The correction terms live at low degree: writing e = f - g*h and
-    s*e = q*h + r, the update (g + t*e + q*g, h + r) multiplies back to f
-    modulo m^2 (hence mod mm) because s*g + t*h = 1 kills the cross terms;
-    coefficients of the g-update above deg g cancel since the product is
-    monic of degree deg f.  Capping at mm matters when f itself is only known
-    to that precision, as happens for peeled cofactors."""
-    e = fsub(f, fmul(g, h, mm), mm)
-    assert all(c % m == 0 for c in e), "input factorization invalid"
-    q, r = fdivmod(fmul(s, e, mm), h, mm)
-    g2 = fadd(g, fadd(fmul(t, e, mm), fmul(q, g, mm), mm), mm)
-    h2 = fadd(h, r, mm)
-    assert len(g2) == len(g) and g2[-1] == 1, "factor lift lost monicity"
-    assert len(h2) == len(h) and h2[-1] == 1
-    assert not fsub(f, fmul(g2, h2, mm), mm), "factor lift broke product"
-    s2, t2 = bezout_lift(g2, h2, s, t, mm)
-    return g2, h2, s2, t2
-
-
-def _lift_pair(f, gbar, hbar, p: int, N: int):
-    """Lift the coprime factorization f = gbar*hbar (mod p) to mod p^N.
-    Returns (G, H) monic integer polynomials with f = G*H (mod p^N)."""
-    _, s, t = fext_gcd(gbar, hbar, p)
-    g, h = gbar, hbar
-    k = 1
-    while k < N:
-        k_next = min(2 * k, N)
-        g, h, s, t = _hensel_pair_step(fred(f, p**k_next), g, h, s, t, p**k, p**k_next)
-        k = k_next
-    return g, h
-
-
 def lift_block_factorization(f: QPoly, p: int, N: int):
     """Factor f mod p into prime-power blocks h_i^{e_i} and lift each block to
     an exact factor of f modulo p^N.
@@ -92,44 +50,35 @@ def lift_block_factorization(f: QPoly, p: int, N: int):
     (degree, then coefficients of hbar_i), where hbar_i is the mod-p
     irreducible (tuple over F_p), e_i its multiplicity, and F_i the block lift
     as an integer coefficient tuple with prod F_i = f (mod p^N)."""
-    rem = fred(_as_ints(f), p**N)
-    factors = poly_factor_mod_p(f, p)  # canonical order already
+    f_ints = _as_ints(f)
+    factors = [(reduce_qpoly_mod_p(hq, p), e) for hq, e in poly_factor_mod_p(f, p)]
     blocks = []
-    for hq, e in factors:
-        hbar = reduce_qpoly_mod_p(hq, p)
-        blk = hbar
-        for _ in range(e - 1):
+    for hbar, e in factors:
+        blk = (1,)
+        for _ in range(e):
             blk = fmul(blk, hbar, p)
-        blocks.append((hbar, e, blk))
-    out = []
-    for i, (hbar, e, blk) in enumerate(blocks):
-        if i == len(blocks) - 1:
-            out.append((hbar, e, rem))
-            break
-        cof = (1,)
-        for other in blocks[i + 1 :]:
-            cof = fmul(cof, other[2], p)
-        G, rem = _lift_pair(rem, blk, cof, p, N)
-        out.append((hbar, e, G))
-    return out
+        blocks.append(blk)
+    lifts = hensel_lift(f_ints, blocks, p, N)
+    return [(hbar, e, F) for (hbar, e), F in zip(factors, lifts)]
 
 
 # ---------------------------------------------------------------------------
 # Dedekind's criterion
 # ---------------------------------------------------------------------------
 
-def dedekind_applies(f: QPoly, p: int) -> bool:
-    """True when p does not divide [O_K : Z[alpha]] for K = Q[X]/(f).
+def dedekind_applies(f: QPoly, p: int, factors) -> bool:
+    """True when p does not divide [O_K : Z[alpha]] for K = Q[X]/(f), given
+    the factorization fbar = prod hbar_i^{e_i} mod p as (hbar_i, e_i) pairs.
 
-    Criterion: with fbar = prod hbar_i^{e_i}, g = prod h_i (monic lifts),
+    Criterion: with g = prod h_i (monic lifts),
     h = a monic lift of fbar/gbar, and T = (g*h - f)/p over Z, the reduction
     works iff gcd(Tbar, gbar, hbar/gbar-part) = 1 in F_p[X].  Concretely we
     test gcd(Tbar, gbar, fbar/gbar) = 1.  Tbar only needs g*h - f mod p^2,
     with g, h lifted by their coefficients in [0, p)."""
     f_ints = _as_ints(f)
     gbar = (1,)
-    for hq, _e in poly_factor_mod_p(f, p):
-        gbar = fmul(gbar, reduce_qpoly_mod_p(hq, p), p)
+    for h, _e in factors:
+        gbar = fmul(gbar, h, p)
     hbar, r = fdivmod(fred(f_ints, p), gbar, p)
     assert not r
     T = fsub(fmul(gbar, hbar, p * p), fred(f_ints, p * p), p * p)

@@ -1,29 +1,24 @@
 """Number fields Q[X]/(f), their elements, their orderings, and KPoly, the
 polynomials over K or over a finite field F_q.
 
-A field is created from a monic polynomial whose irreducibility is certified
-(or refused) by an explicit pipeline; elements are coordinate vectors over the
-power basis 1, a, ..., a^{n-1}.  Orderings correspond to the real roots of f,
-carried as shrinking rational isolating intervals; every sign query is decided
-exactly, floats never enter.
+A field is created from a monic polynomial whose irreducibility over Q is
+decided for every degree, by factoring mod small primes and recombining
+Hensel lifts (a reducible polynomial is refused with a factor as witness);
+elements are coordinate vectors over the power basis 1, a, ..., a^{n-1}.
+Orderings correspond to the real roots of f, carried as shrinking rational
+isolating intervals; every sign query is decided exactly, floats never enter.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import count, product
+from itertools import combinations, count, product
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DivisionByZero,
-    FormulaSyntaxError,
-    NotMonic,
-    Reducible,
-    UncertifiedIrreducibility,
-)
-from .ffield import is_irreducible, is_prime, reduce_qpoly_mod_p
+from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible
+from .ffield import factor_fpoly, fmul, hensel_lift, is_prime, reduce_qpoly_mod_p
 from .qpoly import (
     QPoly,
     format_poly,
@@ -36,35 +31,14 @@ from .qpoly import (
     sturm_sequence,
 )
 
-# the primes certify_irreducible tries for a mod-p irreducibility certificate
-_CERTIFICATE_PRIMES = tuple(p for p in range(1001) if is_prime(p))
+# the number of good primes (f squarefree mod p) certify_irreducible factors
+# at before it recombines the lifts from the one with the fewest factors
+_GOOD_PRIMES = 5
 
 
 # ---------------------------------------------------------------------------
 # irreducibility certification
 # ---------------------------------------------------------------------------
-
-def _rational_roots(f: QPoly) -> list[Fraction]:
-    """All rational roots of a monic integer-coefficient polynomial."""
-    _, ints = f.content_and_primitive()
-    if not ints:
-        return []
-    a0 = ints[0]
-    if a0 == 0:
-        return [Fraction(0)] + _rational_roots(QPoly(f.coeffs[1:]))
-    out = []
-    # monic integer polynomial: rational roots are integer divisors of a0
-    d = 1
-    divisors = set()
-    while d * d <= abs(a0):
-        if a0 % d == 0:
-            divisors.update({d, -d, a0 // d, -(a0 // d)})
-        d += 1
-    for r in sorted(divisors, key=lambda v: (abs(v), v < 0)):
-        if f(Fraction(r)) == 0:
-            out.append(Fraction(r))
-    return out
-
 
 def _integer_monic_form(f: QPoly) -> tuple[QPoly, Fraction]:
     """For monic f over Q return (g, m) with g = m^n f(X/m) monic over Z.
@@ -87,54 +61,18 @@ def _mignotte_bound(f: QPoly) -> int:
     return int(2 ** f.degree * (1 + s)) + 1
 
 
-def _bounded_factor_search(f: QPoly, max_deg: int) -> QPoly | None:
-    """Look for a monic integer factor of degree 2..max_deg by exhaustive
-    coefficient enumeration under the Mignotte-style bound.  Returns a factor
-    or None.  Only called for small degrees; the mod-p certificate almost
-    always fires first."""
-    _, ints = f.content_and_primitive()
-    a0 = ints[0]  # nonzero: a rational root would have been caught already
-    bound = _mignotte_bound(f)
-    # small-|c| first so genuine factors surface quickly
-    mids = [0]
-    for c in range(1, bound + 1):
-        mids.extend((c, -c))
-    for d in range(2, max_deg + 1):
-        # constant coefficient of a monic factor divides a0
-        consts = set()
-        k = 1
-        while k * k <= abs(a0):
-            if a0 % k == 0:
-                consts.update({k, -k, a0 // k, -(a0 // k)})
-            k += 1
-
-        def rec(coeffs: list[int], left: int):
-            if left == 0:
-                cand = QPoly(coeffs + [1])
-                q, r = divmod(f, cand)
-                if r.is_zero and all(c.denominator == 1 for c in q.coeffs):
-                    return cand
-                return None
-            for c in mids:
-                got = rec(coeffs + [c], left - 1)
-                if got is not None:
-                    return got
-            return None
-
-        for c0 in sorted(consts, key=lambda v: (abs(v), v < 0)):
-            got = rec([c0], d - 1)
-            if got is not None:
-                return got
-    return None
-
-
 def certify_irreducible(f: QPoly) -> None:
-    """Raise Reducible (with a witness in the detail) or
-    UncertifiedIrreducibility; return silently when certified irreducible.
+    """Raise Reducible (with a witness in the detail) or return silently when
+    f is irreducible over Q; complete for every degree.
 
-    Pipeline: squarefree check, rational root theorem, mod-p irreducibility
-    for p <= 1000, bounded integer factor search (complete through degree 7),
-    then honest refusal.
+    After the squarefree check, the integral monic form fz of f is factored
+    mod the primes p = 2, 3, 5, ... at which it stays squarefree; one
+    irreducible reduction proves fz irreducible.  Otherwise the factors mod
+    the good prime with the fewest of them, among the first _GOOD_PRIMES, are
+    Hensel-lifted to p^N > 2 * (Mignotte bound), so every monic integer
+    factor of fz is, in symmetric residues, the product of a subset of the
+    lifts; the subsets of at most half of them are tried by exact division
+    (Zassenhaus; Cohen, GTM 138, section 3.5).
     """
     n = f.degree
     if n == 1:
@@ -142,36 +80,44 @@ def certify_irreducible(f: QPoly) -> None:
     g = f.gcd(f.derivative())
     if g.degree >= 1:
         raise Reducible(f"repeated factor: {format_poly(g)}")
-    fz, _m = _integer_monic_form(f)
-    roots = _rational_roots(fz)
-    if roots:
-        # translate back through X -> m X to witness a factor of f itself
-        r = roots[0] / _m
-        cof = f.exact_div(QPoly((-r, 1)))
-        raise Reducible(f"({format_poly(QPoly((-r, 1)))})({format_poly(cof)})")
-    for p in _CERTIFICATE_PRIMES:
-        red = reduce_qpoly_mod_p(fz, p)
-        if len(red) - 1 != n:
+    fz, m = _integer_monic_form(f)
+    candidates = []
+    for p in filter(is_prime, count(2)):
+        factors = factor_fpoly(reduce_qpoly_mod_p(fz, p), p)
+        if any(e > 1 for _, e in factors):
             continue
-        if is_irreducible(red, p):
+        if len(factors) == 1:
             return
-    if n <= 3:
-        return  # no rational root and degree <= 3: irreducible
-    if n <= 7:
-        factor = _bounded_factor_search(fz, n // 2)
-        if factor is None:
-            return
-        # map the witness back through the scaling substitution
-        if _m != 1:
-            factor = QPoly(
-                [c / _m ** (factor.degree - k) for k, c in enumerate(factor.coeffs)]
-            )
-        raise Reducible(
-            f"({format_poly(factor)})({format_poly(f.exact_div(factor))})"
-        )
-    raise UncertifiedIrreducibility(
-        f"degree {n} polynomial passed no implemented certificate"
-    )
+        candidates.append((len(factors), p, [h for h, _ in factors]))
+        if len(candidates) == _GOOD_PRIMES:
+            break
+    _, p, factors = min(candidates)
+    N = 1
+    while p**N <= 2 * _mignotte_bound(fz):
+        N += 1
+    M = p**N
+    a0 = fz.coeffs[0].numerator
+    lifts = hensel_lift([c.numerator for c in fz.coeffs], factors, p, N)
+    for k in range(1, len(lifts) // 2 + 1):
+        for subset in combinations(lifts, k):
+            # the constant term of a factor divides a0: a cheap first test
+            b0 = 1
+            for h in subset:
+                b0 = b0 * h[0] % M
+            b0 = b0 - M if 2 * b0 > M else b0
+            if a0 and (b0 == 0 or a0 % b0):
+                continue
+            prod = (1,)
+            for h in subset:
+                prod = fmul(prod, h, M)
+            factor = QPoly([c - M if 2 * c > M else c for c in prod])
+            if divmod(fz, factor)[1].is_zero:
+                # map the witness back through X -> m X
+                d = factor.degree
+                factor = QPoly([c / m ** (d - i) for i, c in enumerate(factor.coeffs)])
+                raise Reducible(
+                    f"({format_poly(factor)})({format_poly(f.exact_div(factor))})"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,9 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
             raise Unsupported(
                 "prime splitting requires an integral defining polynomial"
             )
-    if not dedekind_applies(K.poly, p):
-        raise IndexDivisible(f"p = {p} divides the index for this field")
     lifts = {16: lift_block_factorization(K.poly, p, 16)}
+    if not dedekind_applies(K.poly, p, [(hbar, e) for hbar, e, _ in lifts[16]]):
+        raise IndexDivisible(f"p = {p} divides the index for this field")
     out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e, _) in enumerate(lifts[16])]
     assert sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree"
     for P in out:

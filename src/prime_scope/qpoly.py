@@ -278,21 +278,21 @@ class QPoly:
         # endpoints of the Cauchy box are never roots (strict bound)
         total = p.count_real_roots_between(lo, hi, _seq=seq)
         out: list[tuple[Fraction, Fraction]] = []
-
-        def rec(lo: Fraction, hi: Fraction, n: int):
-            if n == 0:
-                return
+        # bisection with an explicit stack, left half on top: the intervals
+        # come out ascending however many halvings separate two roots
+        stack = [(lo, hi, total)]
+        while stack:
+            lo, hi, n = stack.pop()
             if n == 1:
                 out.append((lo, hi))
-                return
+            if n <= 1:
+                continue
             mid = (lo + hi) / 2
             while p(mid) == 0:
                 mid = (lo + mid) / 2  # nudge off the root, stay inside
             nl = p.count_real_roots_between(lo, mid, _seq=seq)
-            rec(lo, mid, nl)
-            rec(mid, hi, n - nl)
-
-        rec(lo, hi, total)
+            stack.append((mid, hi, n - nl))
+            stack.append((lo, mid, nl))
         return out
 
 

@@ -230,3 +230,19 @@ def test_phi_verbs_at_large_degree_finish_fast(args):
     r = run(*args, timeout=2.0)
     assert r.returncode == 0, r.stderr
     json.loads(r.stdout)
+
+
+def test_field_with_a_large_constant_term_finishes_fast():
+    # 10^30 + 1: a divisor scan of the constant term would need 10^15 steps
+    r = run("field", "--field", "X^2-1000000000000000000000000000001", timeout=2.0)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["degree"] == 2 and len(out["orderings"]) == 2
+
+
+def test_field_with_roots_far_apart_in_scale():
+    # roots 10^200 -+ sqrt2 take about 1330 bisections to isolate
+    c = 10**200
+    r = run("field", "--field", f"X^2-{2 * c}*X+{c * c - 2}", timeout=2.0)
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["orderings"]) == 2

@@ -1,8 +1,6 @@
-import contextlib
 import itertools
 import math
 import random
-import signal
 
 import pytest
 from fractions import Fraction
@@ -161,34 +159,14 @@ def test_rootless_poly_rejects_nonpositive_f(f_abs):
         build_phi_n(7, f_abs, 1)
 
 
-class _WallClockExceeded(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _wall_clock_limit(seconds):
-    """Interrupt the body with _WallClockExceeded after `seconds`."""
-
-    def fire(signum, frame):
-        raise _WallClockExceeded(f"over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize(
     "p, f_abs, want",
     [(13, 5, "X^7+10*X^6+1"), (101, 10, "X^11+22*X^10+1")],
 )
-def test_rootless_poly_large_degree_is_fast(p, f_abs, want):
+def test_rootless_poly_large_degree_is_fast(p, f_abs, want, wall_clock_limit):
     # the scan skips the p^(l-1) candidates with c_0 = 0, so these take
     # milliseconds; a scan through them would need p^(l-1) tests
-    with _wall_clock_limit(2.0):
+    with wall_clock_limit(2.0):
         g = rootless_poly(p, f_abs)
     assert g == parse_poly(want)
 

@@ -8,12 +8,7 @@ from fractions import Fraction
 import pytest
 
 import prime_scope.numberfield as numberfield_module
-from prime_scope.errors import (
-    DivisionByZero,
-    NotMonic,
-    Reducible,
-    UncertifiedIrreducibility,
-)
+from prime_scope.errors import DivisionByZero, NotMonic, Reducible
 from prime_scope.numberfield import (
     FieldElement,
     KPoly,
@@ -60,10 +55,17 @@ def test_repeated_factor_is_refused():
 
 @pytest.mark.parametrize(
     "text",
-    ["X^2+1", "X^2-2", "X^3-2", "X^4+1", "X^4-10*X^2+1", "X^3+X+1"],
+    [
+        "X^2+1", "X^2-2", "X^3-2", "X^4+1", "X^4-10*X^2+1", "X^3+X+1",
+        "X^2-1000000000000000000000000000001",  # 10^30 + 1 has no small divisor
+        "X^8+1",  # reducible mod every prime
+        "X^8-40*X^6+352*X^4-960*X^2+576",  # Swinnerton-Dyer: sqrt2+sqrt3+sqrt5
+        "X^3-1/2",  # integral form X^3 - 4
+    ],
 )
-def test_known_irreducibles_certify(text):
-    nf_create(text)  # must not raise
+def test_known_irreducibles_certify(text, wall_clock_limit):
+    with wall_clock_limit(2.0):
+        nf_create(text)  # must not raise
 
 
 def test_certification_does_not_hide_reduction_errors(monkeypatch):
@@ -77,19 +79,57 @@ def test_certification_does_not_hide_reduction_errors(monkeypatch):
 
 def test_certification_agrees_with_oracle_on_random_polys():
     rng = random.Random(991)
-    for _ in range(150):
-        deg = rng.randint(2, 4)
-        coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [1]
-        f = QPoly(coeffs)
+
+    def monic(deg):
+        return QPoly([rng.randint(-6, 6) for _ in range(deg)] + [1])
+
+    for i in range(200):
+        deg = rng.randint(2, 8)
+        if i % 3 == 0:
+            k = rng.randint(1, deg - 1)
+            f = monic(k) * monic(deg - k)
+        else:
+            f = monic(deg)
+        coeffs = [int(c) for c in f.coeffs]
         want = oracle_is_irreducible_over_q(coeffs)
         try:
             nf_create(f)
             got = True
         except Reducible:
             got = False
-        except UncertifiedIrreducibility:
-            continue  # honest refusal is allowed, wrong answers are not
         assert got == want, f"{coeffs}"
+
+
+def _witness_factors(exc) -> list[QPoly]:
+    """The two factors named by a Reducible detail "(g)(h)"."""
+    g, h = exc.value.detail[1:-1].split(")(")
+    return [parse_poly(g), parse_poly(h)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "X^8+4",
+        "X^12+1",
+        "X^2-1/4",  # the witness maps back through X -> 2X
+        "X^3-1/8",
+        "X^2-1000000000000000000000000000000",
+    ],
+)
+def test_reducible_witness_multiplies_back(text, wall_clock_limit):
+    f = parse_poly(text)
+    with wall_clock_limit(2.0), pytest.raises(Reducible) as exc:
+        nf_create(f)
+    g, h = _witness_factors(exc)
+    assert g.degree >= 1 and h.degree >= 1
+    assert g * h == f
+
+
+def test_reducible_sextic_names_both_cubics(wall_clock_limit):
+    g, h = parse_poly("X^3+5*X^2-7*X+11"), parse_poly("X^3-6*X+13")
+    with wall_clock_limit(2.0), pytest.raises(Reducible) as exc:
+        nf_create(g * h)
+    assert set(_witness_factors(exc)) == {g, h}
 
 
 # --- element arithmetic -----------------------------------------------------

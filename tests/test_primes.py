@@ -372,11 +372,16 @@ def test_block_lifts_multiply_back_to_f(N):
             assert prod == fred(f, M), (text, p, N)
 
 
+def _dedekind(K, p):
+    factors = [(hbar, e) for hbar, e, _ in lift_block_factorization(K.poly, p, 1)]
+    return dedekind_applies(K.poly, p, factors)
+
+
 def test_dedekind_applies_pinned():
-    assert not dedekind_applies(nf_create("X^2+3").poly, 2)
-    assert not dedekind_applies(nf_create("X^2-5").poly, 2)
-    assert dedekind_applies(GAUSS.poly, 2)
-    assert dedekind_applies(nf_create("X^3-2").poly, 3)
+    assert not _dedekind(nf_create("X^2+3"), 2)
+    assert not _dedekind(nf_create("X^2-5"), 2)
+    assert _dedekind(GAUSS, 2)
+    assert _dedekind(nf_create("X^3-2"), 3)
 
 
 @pytest.mark.parametrize("p", [4, 9, 15])

@@ -121,6 +121,21 @@ def test_isolation_intervals_are_isolating():
         assert ivs[i][1] <= ivs[i + 1][0]
 
 
+def test_isolation_of_roots_far_apart_in_scale(wall_clock_limit):
+    # 10^200 -+ sqrt2 inside a Cauchy box about 10^400 wide: about 1330
+    # halvings separate them, deeper than the default stack allows for one
+    # Python frame per halving
+    c = 10**200
+    f = P(c * c - 2, -2 * c, 1)
+    with wall_clock_limit(2.0):
+        ivs = f.isolate_real_roots()
+    assert len(ivs) == 2
+    (_, hi0), (lo1, _) = ivs
+    assert c - 2 < hi0 <= lo1 < c + 2  # a cut between the roots
+    for lo, hi in ivs:
+        assert f(lo) * f(hi) < 0
+
+
 def test_random_eval_consistency_with_sympy():
     import sympy
 
