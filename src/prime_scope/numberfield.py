@@ -74,8 +74,7 @@ def certify_irreducible(f: QPoly) -> None:
     lifts; the subsets of at most half of them are tried by exact division
     (Zassenhaus; Cohen, GTM 138, section 3.5).
     """
-    n = f.degree
-    if n == 1:
+    if f.degree == 1:
         return
     g = f.gcd(f.derivative())
     if g.degree >= 1:
@@ -92,8 +91,8 @@ def certify_irreducible(f: QPoly) -> None:
         if len(candidates) == _GOOD_PRIMES:
             break
     _, p, factors = min(candidates)
-    N = 1
-    while p**N <= 2 * _mignotte_bound(fz):
+    bound, N = 2 * _mignotte_bound(fz), 1
+    while p**N <= bound:
         N += 1
     M = p**N
     a0 = fz.coeffs[0].numerator
