@@ -3,7 +3,8 @@
 Every verb prints one JSON value on stdout (or an indented / plain-text
 rendering with --output text) and exits 0.  Domain errors print the shared
 error JSON {"error": code, "detail": ..., "clause": ...} and exit 1; usage
-and syntax problems exit 2.  Output is deterministic given the Config; the
+and syntax problems exit 2; a failed internal self-check (InvariantViolated)
+prints the same error JSON and exits 3.  Output is deterministic given the Config; the
 PRIME_SCOPE_SEED environment variable overrides --seed.
 
 Global flags come before the verb:
@@ -26,7 +27,7 @@ from fractions import Fraction
 from .closure import has_root_in_closure, padic_root
 from .config import Config, config_from_env
 from .dense import d_witness, ud_witness, weak_approx_value, zgroup_witness
-from .errors import PrimeScopeError, Unsupported
+from .errors import InvariantViolated, PrimeScopeError, Unsupported
 from .formulas import (
     build_phi_n,
     emit_chi,
@@ -522,6 +523,9 @@ def main(argv=None) -> int:
     )
     try:
         code, obj, text = args.handler(args, config)
+    except InvariantViolated as exc:
+        _emit(exc.to_json(), None, config)
+        return 3
     except PrimeScopeError as exc:
         _emit(exc.to_json(), None, config)
         return 1

@@ -30,6 +30,7 @@ from .errors import (
     PrecisionOverflow,
     Unsupported,
     ZeroElement,
+    check,
 )
 from .closure import has_root_in_closure, padic_root
 from .ffield import bezout_lift, fdivmod, fext_gcd, fmul, fred
@@ -201,7 +202,7 @@ def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> Witness
         steps, bound = k, config.precision_cap
 
     ok, chk = _defining_check(P, g, a, x)
-    assert ok, "witness failed the defining membership it was built for"
+    check(ok, "witness failed the defining membership it was built for")
     return WitnessReport(x, [(P, chk)], {"bound": bound, "steps": steps})
 
 
@@ -320,7 +321,7 @@ def weak_approx_value(K: NumberField, parts, config: Config = DEFAULT) -> FieldE
 
     for P in primes:
         if P.index in targets:
-            assert valuation(P, z) == targets[P.index], "weak approximation self-check failed"
+            check(valuation(P, z) == targets[P.index], "weak approximation self-check failed")
     return z
 
 
@@ -486,7 +487,7 @@ def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DE
     verified = []
     for P in S_g:
         ok, chk = _defining_check(P, g, a, x)
-        assert ok, "merged witness failed the defining membership"
+        check(ok, "merged witness failed the defining membership")
         verified.append((P, chk))
     return WitnessReport(
         x, verified, {"bound": config.height_bound, "steps": total_steps + merged.search_stats["steps"]}
@@ -529,5 +530,5 @@ def zgroup_witness(K: NumberField, p: int, tau, n: int, y: FieldElement, config:
     t_p = K.rational(p)
     for P in S:
         vals = [valuation(P, y**efact * t_p**i * xs[i] ** n) for i in range(n)]
-        assert all(v >= 0 for v in vals) and 0 in vals, "value-group witness self-check failed"
+        check(all(v >= 0 for v in vals) and 0 in vals, "value-group witness self-check failed")
     return tuple(xs)

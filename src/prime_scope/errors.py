@@ -76,3 +76,17 @@ PreconditionViolated = _make(
     "PreconditionViolated",
     "An input violates a stated precondition; clause names which one.",
 )
+
+
+class InvariantViolated(PrimeScopeError, AssertionError):
+    """An internal self-check failed: a witness or certificate the package
+    built did not re-verify.  A PrimeScopeError for callers, an AssertionError
+    for code that expects one; raised by check(), so python -O keeps it."""
+
+    code = "InvariantViolated"
+
+
+def check(condition, detail: str) -> None:
+    """Raise InvariantViolated(detail) unless condition holds."""
+    if not condition:
+        raise InvariantViolated(detail)

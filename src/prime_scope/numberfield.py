@@ -4,7 +4,8 @@ polynomials over K or over a finite field F_q.
 A field is created from a monic polynomial whose irreducibility over Q is
 decided for every degree, by factoring mod small primes and recombining
 Hensel lifts (a reducible polynomial is refused with a factor as witness);
-elements are coordinate vectors over the power basis 1, a, ..., a^{n-1}.
+elements are coordinate vectors over the power basis 1, a, ..., a^{n-1},
+and square_root decides exactly whether one is a square in K.
 Orderings correspond to the real roots of f, carried as shrinking rational
 isolating intervals; every sign query is decided exactly, floats never enter.
 """
@@ -13,12 +14,23 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, count, product
-from math import lcm
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible
-from .ffield import factor_fpoly, fmul, hensel_lift, is_prime, reduce_qpoly_mod_p
+from .ffield import (
+    factor_fpoly,
+    fadd,
+    fmul,
+    fneg,
+    fred,
+    fscale,
+    hensel_lift,
+    is_prime,
+    reduce_qpoly_mod_p,
+)
 from .qpoly import (
     QPoly,
     format_poly,
@@ -136,6 +148,7 @@ class NumberField:
         self.degree = poly.degree
         self._orderings: list[Ordering] | None = None
         self._prime_cache: dict[int, tuple] = {}
+        self._split_primes: list[tuple[int, list[int]]] = []
 
     # --- element constructors ------------------------------------------
     def element(self, coords: Iterable) -> "FieldElement":
@@ -160,6 +173,17 @@ class NumberField:
 
     def rational(self, q) -> "FieldElement":
         return self.element([Fraction(q)])
+
+    @cached_property
+    def _integral_model(self) -> tuple[tuple[int, ...], int, int, int]:
+        """(F, m, disc, B): F = m^n f(X/m) monic over Z as integer
+        coefficients, lowest first, so b = m*a is an algebraic integer with
+        K = Q(b); disc = |disc(F)|, and every complex root of F has absolute
+        value below the Cauchy bound B = 1 + max |F_i| (i < n)."""
+        fz, m = _integer_monic_form(self.poly)
+        F = tuple(c.numerator for c in fz.coeffs)
+        disc = abs(fz.discriminant().numerator)
+        return F, m.numerator, disc, 1 + max(abs(c) for c in F[:-1])
 
     # --- orderings -------------------------------------------------------
     def orderings(self) -> list["Ordering"]:
@@ -617,3 +641,106 @@ def elements_by_height(field: NumberField, include_zero: bool = True) -> Iterato
             tail = ladder if head and max(head) >= old_len else new
             for q in tail:
                 yield field.element(prefix + [q])
+
+
+# ---------------------------------------------------------------------------
+# exact square roots
+# ---------------------------------------------------------------------------
+
+def _split_primes(K: NumberField) -> Iterator[tuple[int, list[int]]]:
+    """Odd primes l prime to disc at which the integral model F of K splits
+    into distinct linear factors, each with the roots of F mod l, in
+    increasing order of l; memoised on K."""
+    F, _, disc, _ = K._integral_model
+    known = K._split_primes
+    yield from known
+    for l in filter(is_prime, count(known[-1][0] + 1 if known else 3)):
+        if disc % l == 0:
+            continue
+        factors = factor_fpoly(fred(F, l), l)
+        if len(factors) == len(F) - 1:
+            known.append((l, [-h[0] % l for h, _ in factors]))
+            yield known[-1]
+
+
+def _sqrt_mod(v: int, l: int) -> int | None:
+    """A square root of v mod the odd prime l, or None for a non-residue
+    (Tonelli-Shanks)."""
+    v %= l
+    if v == 0 or pow(v, (l - 1) // 2, l) != 1:
+        return None if v else 0
+    q, e = l - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = next(z for z in count(2) if pow(z, (l - 1) // 2, l) == l - 1)
+    c, t, x = pow(z, q, l), pow(v, q, l), pow(v, (q + 1) // 2, l)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % l
+        b = pow(c, 1 << (e - i - 1), l)
+        e, c, t, x = i, b * b % l, t * b * b % l, x * b % l
+    return x
+
+
+def square_root(r: FieldElement) -> FieldElement | None:
+    """y in K with y * y == r, or None when r is not a square in K.
+
+    With b = m*a the root of the integral model F (NumberField._integral_model)
+    and D the least positive integer with D*r in Z[b], s = D^2 r lies in
+    Z[b], and a root z = D*y of s is an algebraic integer, so Y = disc*z lies
+    in Z[b].  Hadamard's inequality on the Vandermonde matrix of the roots of
+    F bounds the coordinates of Y by sqrt(disc) * n * Z * A with Z^2 =
+    sum |s_i| B^i >= |s| at every root and A = ((n-1)^(1/2) B^(n-1))^(n-1).
+    At the first odd prime l that splits F completely, is prime to disc and
+    leaves s a unit at every root a_j, a non-residue s(a_j) proves r a
+    non-square.  Otherwise each s(a_j) has exactly the two square roots +-t_j
+    mod l^N, Hensel-lifted from mod l together with the a_j; for each of the
+    2^(n-1) sign patterns the Lagrange interpolant of disc * (+-t_j) is
+    lifted symmetrically, and once l^N > 2 * (bound) one pattern gives Y (or
+    -Y) exactly when r is a square.  A candidate counts only after y * y == r
+    is checked exactly (Couveignes, "Computing a square root for the number
+    field sieve", LNM 1554, 1993; Cohen, GTM 138, section 3.6)."""
+    K = r.field
+    if r.is_zero:
+        return r
+    F, m, disc, B = K._integral_model
+    n = K.degree
+    # coordinates over the power basis of b
+    rb = [c / m**i for i, c in enumerate(r.coords)]
+    D = lcm(*(c.denominator for c in rb))
+    s = [int(c * D) * D for c in rb]
+    zsq = sum(abs(c) * B**i for i, c in enumerate(s))
+    bound = isqrt(disc * n * n * zsq * (n - 1) ** (n - 1) * B ** (2 * (n - 1) ** 2)) + 1
+    for l, roots in _split_primes(K):
+        values = [sum(c * pow(a, i, l) for i, c in enumerate(s)) % l for a in roots]
+        sqrts = [_sqrt_mod(v, l) for v in values if v]
+        if None in sqrts:
+            return None  # a non-residue at a degree-1 prime
+        if len(sqrts) == n:
+            break
+    N, M = 1, l
+    while M <= 2 * bound:
+        N, M = N + 1, M * l
+    A = [-h[0] % M for h in hensel_lift(F, [(-a % l, 1) for a in roots], l, N)]
+    terms = []
+    for j, (a, t0) in enumerate(zip(A, sqrts)):
+        c = sum(v * pow(a, i, M) for i, v in enumerate(s)) % M
+        t = -hensel_lift([-c, 0, 1], [(-t0 % l, 1), (t0, 1)], l, N)[0][0] % M
+        basis, den = (1,), 1
+        for k, ak in enumerate(A):
+            if k != j:
+                basis = fmul(basis, (-ak % M, 1), M)
+                den = den * (a - ak) % M
+        terms.append(fscale(basis, disc * t * pow(den, -1, M), M))
+    for signs in product((1, -1), repeat=n - 1):
+        acc = terms[0]
+        for sign, term in zip(signs, terms[1:]):
+            acc = fadd(acc, term if sign == 1 else fneg(term, M), M)
+        Y = [c - M if 2 * c > M else c for c in acc]
+        if any(abs(c) > bound for c in Y):
+            continue
+        y = K.element([Fraction(c * m**i, disc * D) for i, c in enumerate(Y)])
+        if y * y == r:
+            return y
+    return None

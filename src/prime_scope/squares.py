@@ -2,8 +2,9 @@
 
 Everything here is exact: four-square decompositions are verified by
 re-summation, level computations brute-force the finite field, and the
-short-representation check either certifies a searched region or hands back
-the tuple that breaks it.
+short-representation check either certifies that no x up to the height bound
+has any y in K completing a representation, or hands back the tuple that
+breaks it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from .errors import (
     PreconditionViolated,
     PrecisionOverflow,
     ZeroElement,
+    check,
 )
-from .ffield import FF, ff_is_square, irreducible_poly, is_prime, reduce_qpoly_mod_p
+from .ffield import (
+    FF,
+    factor_fpoly,
+    ff_is_square,
+    irreducible_poly,
+    is_prime,
+    reduce_qpoly_mod_p,
+)
 from .localdata import ff_poly_roots
 from .numberfield import (
     FieldElement,
@@ -30,6 +39,7 @@ from .numberfield import (
     NumberField,
     elements_by_height,
     format_element,
+    square_root,
 )
 from .primes import PValuation, residue, valuation
 from .qpoly import QPoly
@@ -46,8 +56,8 @@ class SquareDecomposition:
     __slots__ = ("input", "parts")
 
     def __init__(self, input_: Fraction, parts: tuple):
-        assert len(parts) <= 4
-        assert sum(c * c for c in parts) == input_
+        check(len(parts) <= 4, f"{len(parts)} parts")
+        check(sum(c * c for c in parts) == input_, f"parts do not re-sum to {input_}")
         self.input = input_
         self.parts = tuple(parts)
 
@@ -225,6 +235,67 @@ def _reduction_has_root(P: PValuation, g: KPoly) -> bool:
     return bool(ff_poly_roots(P.residue_field, [residue(P, c) for c in g.coeffs]))
 
 
+# the degree-1 primes that filter x before the exact square test: how many,
+# and the bound on their norms
+_FILTER_PRIMES = 8
+_FILTER_LIMIT = 100
+
+
+def _residue_filters(K: NumberField, g: KPoly, eps: FieldElement) -> list[tuple]:
+    """Up to _FILTER_PRIMES degree-1 primes (l, a) of K, l odd below
+    _FILTER_LIMIT: f(a) = 0 and f'(a) != 0 mod l, and l prime to every
+    denominator of f, g and eps.  Each is given as (l, powers of a, the
+    reduced coefficients of g highest first, eps^2 reduced, inverses mod l
+    with 0 at 0, squareness mod l with True at 0)."""
+    dens = [c.denominator for c in K.poly.coeffs]
+    for c in (*g.coeffs, eps):
+        dens += [q.denominator for q in c.coords]
+    den = math.lcm(*dens)
+    out = []
+    for l in filter(is_prime, range(3, _FILTER_LIMIT)):
+        if den % l == 0:
+            continue
+        # the simple roots of f mod l are its linear factors of multiplicity 1
+        for h, e in factor_fpoly(reduce_qpoly_mod_p(K.poly, l), l):
+            if len(h) != 2 or e != 1:
+                continue
+            a = -h[0] % l
+            apow = [pow(a, i, l) for i in range(K.degree)]
+
+            def red(c):
+                return sum(q.numerator * pow(q.denominator, -1, l) * ai
+                           for q, ai in zip(c.coords, apow)) % l
+
+            inv = [0] + [pow(k, -1, l) for k in range(1, l)]
+            is_sq = [False] * l
+            for k in range(l):
+                is_sq[k * k % l] = True
+            out.append((l, apow, [red(c) for c in reversed(g.coeffs)],
+                        red(eps) ** 2 % l, inv, is_sq))
+            if len(out) == _FILTER_PRIMES:
+                return out
+    return out
+
+
+def _nonsquare_somewhere(coords: tuple, filters: list[tuple]) -> bool:
+    """True when eps^2 - g(x)^2 reduces to a nonzero non-square at one of the
+    filters; a prime dividing a denominator of x is skipped for that x."""
+    for l, apow, gbar, e2, inv, is_sq in filters:
+        v = 0
+        for q, ai in zip(coords, apow):
+            d = inv[q.denominator % l]
+            if not d:
+                break
+            v += q.numerator * d * ai
+        else:
+            acc = 0
+            for c in gbar:
+                acc = (acc * v + c) % l
+            if not is_sq[(e2 - acc * acc) % l]:
+                return True
+    return False
+
+
 def no_short_representation_check(
     P: PValuation,
     g: KPoly,
@@ -241,12 +312,23 @@ def no_short_representation_check(
     reduction of g has no root in the residue field; v_P(eps) > 0 with eps
     nonzero; and 2 <= s <= level of the residue field.
 
-    Over the rationals with s = 2 the y-component is eliminated exactly (a
-    rational square test), so certification there covers every y, not just
-    the searched box.
+    The bound must be at least 1 (clause "height-bound").  Since s <= 2, the
+    y-component is eliminated exactly over every field: Certified means no x
+    of height <= bound has any y in K with eps^2 = g(x)^2 + y^2; `searched`
+    counts the x tested.  Over Q that is a perfect-square test on integers,
+    run only for the x between the extreme real roots of g^2 - eps^2.
+    Elsewhere every x is tested, streamed by height in O(1) memory: each
+    costs at most _FILTER_PRIMES residue tests of eps^2 - g(x)^2 at degree-1
+    primes, O(deg g + [K:Q]) small-integer operations apiece, and only the x
+    that are squares at all of them pay for g(x) in K and the exact decision
+    of square_root.  A counterexample is re-verified before it is returned.
     """
     bound = height_bound if height_bound is not None else config.height_bound
     K = P.field
+    if bound < 1:
+        raise PreconditionViolated(
+            f"height bound {bound} leaves no x to search", clause="height-bound"
+        )
     if getattr(P, "kind", "") != "p-adic":
         raise PreconditionViolated("check runs at a finite prime", clause="p-adic-prime")
     if g.is_zero or g.degree < 1:
@@ -324,21 +406,24 @@ def no_short_representation_check(
                     return ShortCheckResult("CounterexampleFound", (x, y), searched)
         return ShortCheckResult("Certified", None, searched)
 
-    # general field: index the searched box by its squares, then look up
-    # eps^2 - g(x)^2 minus partial sums; s <= 2 always holds (levels are 1 or
-    # 2), so one lookup per x suffices
-    pool = []
-    for y in elements_by_height(K):
-        if y.height() > bound:
+    # general field: stream over x; a non-residue of eps^2 - g(x)^2 at a
+    # degree-1 prime drops x in integers, and only the rare x locally square
+    # at every filter prime get r = eps^2 - g(x)^2 formed in K and decided
+    # exactly.  s <= 2 always holds (levels are 1 or 2), so one square test
+    # per x suffices
+    filters = _residue_filters(K, g, eps)
+    for x in elements_by_height(K):
+        if x.height() > bound:
             break
-        pool.append(y)
-    square_of = {(y * y).coords: y for y in pool}
-    for x in pool:
         searched += 1
-        r = target - g(x) * g(x)
-        hit = square_of.get(r.coords)
-        if hit is not None:
-            return ShortCheckResult("CounterexampleFound", (x, hit), searched)
+        if _nonsquare_somewhere(x.coords, filters):
+            continue
+        gx = g(x)
+        r = target - gx * gx
+        y = square_root(r)
+        if y is not None:
+            check(gx * gx + y * y == target, "square root failed its re-verification")
+            return ShortCheckResult("CounterexampleFound", (x, y), searched)
     return ShortCheckResult("Certified", None, searched)
 
 
@@ -386,6 +471,6 @@ def d_sos_witness(
         x = report.witness
         steps += report.search_stats.get("steps", 0)
     value = eps * eps - g(x) * g(x)
-    assert r_infinity_member(K, value)
+    check(r_infinity_member(K, value), "eps^2 - g(x)^2 is not totally nonnegative")
     verified = [(P, P.sign(value)) for P in orderings]
     return WitnessReport(x, verified, {"bound": bound, "steps": steps})

@@ -246,3 +246,45 @@ def test_field_with_roots_far_apart_in_scale():
     r = run("field", "--field", f"X^2-{2 * c}*X+{c * c - 2}", timeout=2.0)
     assert r.returncode == 0, r.stderr
     assert len(json.loads(r.stdout)["orderings"]) == 2
+
+
+def test_self_checks_survive_python_O():
+    # an assert would vanish under -O; check() must not
+    opt = [sys.executable, "-O", "-c"]
+    script = (
+        "from fractions import Fraction\n"
+        "from prime_scope.errors import InvariantViolated\n"
+        "from prime_scope.squares import SquareDecomposition\n"
+        "try:\n"
+        "    SquareDecomposition(Fraction(5), (1, 1))\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc.code)\n"
+        "else:\n"
+        "    print('constructed')\n"
+        "from prime_scope.suite import case_no_short_and_levels\n"
+        "print(case_no_short_and_levels()[0])\n"
+    )
+    r = subprocess.run(opt + [script], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:2] == ["raised InvariantViolated", "True"]
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "prime_scope.cli", "--height-bound", "4",
+         "squares", "check-s6", "--field", "X^2+2", "--p", "3", "--poly", "X^2+1",
+         "--eps", "3", "--s", "2"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"searched": 529, "status": "Certified"}
+
+
+def test_failed_self_check_exits_3(monkeypatch, capsys):
+    from prime_scope import cli
+    from prime_scope.errors import InvariantViolated
+
+    def forged(q, config):
+        raise InvariantViolated("forged re-verification failure")
+
+    monkeypatch.setattr(cli, "four_squares", forged)
+    assert cli.main(["squares", "four", "--q", "7"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "InvariantViolated", "detail": "forged re-verification failure"}

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from fractions import Fraction
 
 from prime_scope.config import Config
-from prime_scope.errors import Negative, PreconditionViolated
-from prime_scope.numberfield import KPoly, NumberField
+from prime_scope.errors import InvariantViolated, Negative, PreconditionViolated
+from prime_scope.numberfield import KPoly, NumberField, elements_by_height, square_root
 from prime_scope.primes import primes_above, valuation
 from prime_scope.qpoly import parse_poly
 from prime_scope.squares import (
@@ -24,6 +25,7 @@ Q = NumberField(parse_poly("X"))
 GAUSS = NumberField(parse_poly("X^2+1"))
 SQRT2 = NumberField(parse_poly("X^2-2"))
 SQRT5 = NumberField(parse_poly("X^2-5"))
+SQRT_M2 = NumberField(parse_poly("X^2+2"))
 
 
 def kp(K, text):
@@ -289,6 +291,141 @@ def test_no_short_general_field_path():
     r = no_short_representation_check(P7, kp(SQRT2, "X^2+1"), SQRT2.rational(7), 2, 6)
     assert r.status == "Certified"
     assert r.searched > 0
+
+
+def test_no_short_rejects_an_empty_search_box():
+    P3 = primes_above(Q, 3)[0]
+    M3 = primes_above(SQRT_M2, 3)[0]
+    for P, K in ((P3, Q), (M3, SQRT_M2)):
+        for bound in (0, -3):
+            with pytest.raises(PreconditionViolated) as exc:
+                no_short_representation_check(P, kp(K, "X^2+1"), K.rational(3), 2, bound)
+            assert exc.value.clause == "height-bound"
+
+
+def _pool_search(P, g, eps, bound):
+    """(status, searched) of the general-field search the streaming check
+    replaced: every element of height <= bound in a list, their squares in a
+    dict, one lookup of eps^2 - g(x)^2 per x of the list."""
+    pool = []
+    for y in elements_by_height(P.field):
+        if y.height() > bound:
+            break
+        pool.append(y)
+    square_of = {(y * y).coords: y for y in pool}
+    target = eps * eps
+    for searched, x in enumerate(pool, 1):
+        if (target - g(x) * g(x)).coords in square_of:
+            return "CounterexampleFound", searched
+    return "Certified", len(pool)
+
+
+def test_no_short_streaming_agrees_with_the_pool_search():
+    cube_root2 = NumberField(parse_poly("X^3-2"))
+    places = [(K, p, 4) for K in (GAUSS, SQRT2, SQRT5, SQRT_M2) for p in (3, 7, 11)]
+    # degree 3 at the inert 7 (residue field F_343): 7^3 elements at height 2
+    places.append((cube_root2, 7, 2))
+    met = set()
+    for K, p, top in places:
+        g_choices = [kp(K, "X^2+1"), KPoly(K, [K.rational(2), K.gen(), K.one()])]
+        for P in primes_above(K, p):
+            for i, g in enumerate(g_choices):
+                eps = K.rational(Fraction(p, 2) if (P.index + i) % 2 else p)
+                try:
+                    no_short_representation_check(P, g, eps, 2, 1)
+                except PreconditionViolated:
+                    continue
+                met.add((K.poly, p))
+                for bound in range(1, top + 1):
+                    r = no_short_representation_check(P, g, eps, 2, bound)
+                    assert (r.status, r.searched) == _pool_search(P, g, eps, bound), (
+                        K, p, P.index, i, bound)
+    assert {(SQRT2.poly, 7), (SQRT_M2.poly, 3), (cube_root2.poly, 7)} <= met
+
+
+def test_no_short_rejects_a_forged_square_root(monkeypatch):
+    # a square root that does not square back must not become a counterexample
+    import prime_scope.squares as squares
+
+    P3 = primes_above(SQRT_M2, 3)[0]
+    monkeypatch.setattr(squares, "_nonsquare_somewhere", lambda coords, filters: False)
+    monkeypatch.setattr(squares, "square_root", lambda r: r.field.one())
+    with pytest.raises(InvariantViolated):
+        no_short_representation_check(P3, kp(SQRT_M2, "X^2+1"), SQRT_M2.rational(3), 2, 1)
+
+
+def test_no_short_height_8_streams_fast_in_constant_memory(wall_clock_limit):
+    P3 = primes_above(SQRT_M2, 3)[0]
+    g, eps = kp(SQRT_M2, "X^2+1"), SQRT_M2.rational(3)
+    with wall_clock_limit(2):
+        r = no_short_representation_check(P3, g, eps, 2, 8)
+    assert r.status == "Certified" and r.searched == 7569
+    tracemalloc.start()
+    try:
+        no_short_representation_check(P3, g, eps, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
+
+
+# ---------------------------------------------------------------------------
+# exact square roots in K
+# ---------------------------------------------------------------------------
+
+# (field, rationals that are not squares in it)
+SQUARE_FIELDS = [
+    ("X^2+2", (2, -1, 3)),
+    ("X^2-2", (3, -1, -2)),
+    ("X^3-2", (2, -1, 3)),
+    ("X^4+1", (3, 5, -3)),
+    ("X^2+1/2*X+1/3", (2, 3, -1)),  # Q(sqrt -39), non-integral coefficients
+]
+
+
+@pytest.mark.parametrize("text,nonsquares", SQUARE_FIELDS)
+def test_square_root_recognises_squares(text, nonsquares):
+    K = NumberField(parse_poly(text))
+    rng = random.Random(text)
+    for trial in range(24):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K.degree)]
+        if trial % 3 == 0:
+            coords[-1] = Fraction(rng.randint(51, 10**6), rng.randint(1, 50))
+        y = K.element(coords)
+        if y.is_zero:
+            continue
+        r = y * y
+        root = square_root(r)
+        assert root is not None and root * root == r, (text, y)
+        assert root in (y, -y)
+        c = K.rational(nonsquares[trial % len(nonsquares)])
+        assert square_root(c * r) is None, (text, y, c)
+
+
+def test_square_root_of_large_heights():
+    for text, _ in SQUARE_FIELDS:
+        K = NumberField(parse_poly(text))
+        y = K.element([Fraction(10**12 + 39 * k, 97 + k) for k in range(K.degree)])
+        assert y.height() > 50
+        assert square_root(y * y) in (y, -y)
+
+
+def test_square_root_of_zero_and_rationals():
+    expected = {
+        "X^2+2": {-2: True, 2: False, -8: True, Fraction(-1, 2): True, 9: True},
+        "X^2-2": {2: True, -2: False, Fraction(1, 2): True, 3: False, 9: True},
+        "X^3-2": {2: False, 4: True, -1: False, Fraction(9, 4): True},
+        "X^4+1": {-1: True, 2: True, -2: True, 3: False, Fraction(1, 4): True},
+        "X^2+1/2*X+1/3": {-39: True, 39: False, Fraction(-13, 12): True, 2: False},
+    }
+    for text, table in expected.items():
+        K = NumberField(parse_poly(text))
+        assert square_root(K.zero()) == K.zero()
+        for q, is_square in table.items():
+            root = square_root(K.rational(q))
+            assert (root is not None) == is_square, (text, q)
+            if root is not None:
+                assert root * root == K.rational(q)
 
 
 # ---------------------------------------------------------------------------
