@@ -1,20 +1,40 @@
 """Root existence in closures of (K, P), and p-adic root approximation.
 
 For an ordering the question is a Sturm count under the embedding.  For a
-p-valuation the decision runs a digit-tree search over residue representatives
-with two exact certificates:
+p-valuation, g is replaced by its squarefree part H, scaled to have integral
+coefficients, and an explicit-stack search follows the P-adic digits of the
+roots of H.  A node fixes x modulo t^d (t the uniformizer, d the depth) and
+carries G(Y) = H(x + t^d Y), whose coefficients c_i are integral with
+v(c_i) >= d i.
 
-  accept   v(g(x)) = +inf (a root in K itself), or v(g(x)) > 2 v(g'(x))
-           (Hensel-Rychlik: a unique root of the completion sits over x);
-  reject   every branch dies.  A prefix x fixed mod t^m with v(g(x)) < m is
-           dead: any extension y has v(g(y)) = v(g(x)) exactly, so y is never
-           a root, and the accept inequality at y is already decided at x.
+  accept   v(H(x)) = +inf (a root in K itself), or v(H(x)) > 2 v(H'(x))
+           (Hensel-Rychlik: a unique root of the completion sits over x).
+           Both valuations are read off G: v(H(x)) = v(c_0) and
+           v(H'(x)) = v(c_1) - d.
+  branch   a root y = x + t^d Y0 of H under x has Y0 integral and
+           G(Y0) = 0, so for m the least v(c_i), Y0 mod P is a root of the
+           reduction of G / t^m over the residue field.  Only those roots r
+           become children: x + t^d lift(r) at depth d+1, carrying
+           G(lift(r) + t Y).  When v(H(x)) < d the reduction is a nonzero
+           constant and the branch dies, since every extension y of x has
+           v(H(y)) = v(H(x)).
+  reject   the stack empties: every branch died.
 
-Depth never exceeds 2D+1 for D = v(disc of the squarefree part): a root z
-forces v(g'(z)) <= D (the discriminant is a product of g'(root) values up to
-sign), so a depth-(2D+1) prefix of z would show b <= D and fire the accept;
-conversely a live depth-(2D+1) prefix with b > D cannot sit under any root.
-Hence every branch resolves by depth 2D+1 and exhaustion is a proof.
+Depth never exceeds 2D+1 for D = v(disc H): a root z forces v(H'(z)) <= D
+(the discriminant is a product of H'(root) values up to sign), so a
+depth-(2D+1) prefix of z would show b <= D and fire the accept; conversely a
+live depth-(2D+1) prefix with b > D cannot sit under any root.  Hence every
+branch resolves by depth 2D+1 and exhaustion is a proof.
+
+The search is small.  Over an algebraic closure, the multiplicity of r in
+the reduction counts the roots Y of G (with multiplicity) with
+v(Y - lift(r)) > 0, and the degree of the child's reduction counts those with
+v(Y - lift(r)) >= 1, so it is no larger.  Hence at every depth the children's
+reductions have degrees summing to at most deg H, there are at most deg H
+nodes per depth, and at most deg H (2D+2) nodes in all.  The roots of each
+reduction are found by evaluating it at every residue, so a node costs
+O(q deg H) residue-field operations for q = #k_P.  Children are visited in
+residue-key order.
 """
 
 from __future__ import annotations
@@ -29,7 +49,9 @@ from .errors import (
     PrecisionOverflow,
     Unsupported,
     ZeroDiscriminantUnhandled,
+    check,
 )
+from .ffield import FFElem
 from .numberfield import FieldElement, KPoly, Ordering, format_element, parse_element
 from .primes import PValuation, Prime
 
@@ -95,28 +117,59 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
         h = _squarefree(g)
         count = h.count_roots_in_ordering(P, None, None)
         return RootReport(count > 0, {"kind": "ordering", "sturm_count": count})
-    h = _squarefree(g)
-    H, shift = _integralize(P, h)
+    return _padic_search(P, g)[0]
+
+
+def _padic_search(P: PValuation, g: KPoly) -> tuple[RootReport, KPoly, int]:
+    """The p-adic decision for monic nonconstant g, with the integral
+    squarefree model H of g and its shift, on which padic_root lifts."""
+    H, shift = _integralize(P, _squarefree(g))
     disc = H.resultant(H.derivative())
-    assert not disc.is_zero, "squarefree part has zero discriminant"
+    check(not disc.is_zero, "squarefree part has zero discriminant")
     D = P.valuation(disc)
-    assert D >= 0 and D != math.inf
+    check(0 <= D < math.inf, f"discriminant of an integral model has v = {D}")
     depth_cap = 2 * D + 1
+    cert = _root_search(P, H, depth_cap)
+    if cert is None:
+        cert = {"kind": "exhausted", "depth_cap": depth_cap, "disc_valuation": D}
+    cert["shift"] = shift
+    return RootReport(cert["kind"] == "hensel", cert), H, shift
 
-    K = g.field
+
+def _root_search(P: PValuation, H: KPoly, depth_cap: int) -> dict | None:
+    """The hensel certificate of the first accepting node, in depth-first
+    order with children by residue key; None when the stack empties."""
+    K = P.field
+    k_P = P.residue_field
     t = P.uniformizer
-    dH = H.derivative()
-    lifts = [P.lift_residue(r) for r in P.residue_field.elements()]
-    budget = [SEARCH_NODE_CAP]
+    t_inv = None
+    t_pows = [K.one()]
+    t_inv_pows = [K.one()]
+    lifts: dict[int, FieldElement] = {}
 
-    def dfs(x: FieldElement, depth: int):
-        budget[0] -= 1
-        if budget[0] < 0:
+    def power(pows: list, base: FieldElement, k: int) -> FieldElement:
+        while len(pows) <= k:
+            pows.append(pows[-1] * base)
+        return pows[k]
+
+    # a node is (x, depth, G) with G(Y) = H(x + t^depth Y); children are
+    # pushed as (parent x, parent depth, parent G, lift) and formed when
+    # popped, so siblings after an accept are never built
+    budget = SEARCH_NODE_CAP
+    stack = [(K.zero(), 0, H, None)]
+    while stack:
+        x, depth, G, lift = stack.pop()
+        if lift is not None:
+            x, depth, G = x + lift * power(t_pows, t, depth), depth + 1, G.shift_scale(lift, t)
+        budget -= 1
+        if budget < 0:
             raise Unsupported(
-                f"residue search exceeded {SEARCH_NODE_CAP} nodes"
+                f"residue search exceeded SEARCH_NODE_CAP = {SEARCH_NODE_CAP} nodes"
             )
-        a = P.valuation(H(x))
-        b = P.valuation(dH(x))
+        c = G.coeffs
+        a = P.valuation(c[0])
+        v1 = P.valuation(c[1])
+        b = v1 - depth
         if a == math.inf or a > 2 * b:
             return {
                 "kind": "hensel",
@@ -124,31 +177,45 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
                 "depth": depth,
                 "vg": "inf" if a == math.inf else a,
                 "vdg": "inf" if b == math.inf else b,
-                "shift": shift,
             }
-        if a < depth:
-            return None  # dead branch: v(g) is frozen below target depth
         if depth >= depth_cap:
-            return None  # b > D here, provably no root under this prefix
-        tpow = t**depth
-        for lift in lifts:
-            got = dfs(x + lift * tpow, depth + 1)
-            if got is not None:
-                return got
-        return None
+            continue  # b > D here, provably no root under this prefix
+        # v(c_i) >= depth * i, so c_i with depth * i > m vanishes mod t^(m+1)
+        vals = [a, v1]
+        m = min(a, v1)
+        for i in range(2, len(c)):
+            v = P.valuation(c[i]) if depth * i <= m else math.inf
+            vals.append(v)
+            m = min(m, v)
+        if m:
+            if t_inv is None:
+                t_inv = t.inverse()
+            scale = power(t_inv_pows, t_inv, m)
+            c = [ci * scale if v == m else ci for ci, v in zip(c, vals)]
+        reduction = [P.unit_residue(ci) if v == m else k_P.zero() for ci, v in zip(c, vals)]
+        for r in reversed(_residue_roots(k_P, reduction)):
+            key = r.key()
+            if key not in lifts:
+                lifts[key] = P.lift_residue(r)
+            stack.append((x, depth, G, lifts[key]))
+    return None
 
-    cert = dfs(K.zero(), 0)
-    if cert is not None:
-        return RootReport(True, cert)
-    return RootReport(
-        False,
-        {
-            "kind": "exhausted",
-            "depth_cap": depth_cap,
-            "disc_valuation": D,
-            "shift": shift,
-        },
-    )
+
+def _residue_roots(k_P, coeffs: list[FFElem]) -> list[FFElem]:
+    """Roots in k_P of a nonzero polynomial, by key, found by evaluating it
+    at every residue."""
+    while coeffs[-1].is_zero:
+        coeffs.pop()
+    if len(coeffs) == 1:
+        return []
+    roots = []
+    for r in k_P.elements():
+        acc = k_P.zero()
+        for ci in reversed(coeffs):
+            acc = acc * r + ci
+        if acc.is_zero:
+            roots.append(r)
+    return roots
 
 
 def _canonical_truncation(P: PValuation, x: FieldElement, k: int) -> FieldElement:
@@ -178,12 +245,10 @@ def padic_root(
     _require_monic_nonconstant(g)
     if k > precision_cap:
         raise PrecisionOverflow(f"target valuation {k} above precision cap")
-    report = has_root_in_closure(P, g)
+    report, H, shift = _padic_search(P, g)
     if not report.has_root:
         raise NoRoot("polynomial has no root in the closure at this prime")
     cert = report.certificate
-    h = _squarefree(g)
-    H, shift = _integralize(P, h)
     dH = H.derivative()
     # work on the integral model; translate the target accordingly, and
     # escalate if multiple factors of g eat into the achieved valuation
@@ -193,7 +258,7 @@ def padic_root(
         x = parse_element(P.field, cert["residue"])
         if cert["vg"] != "inf":
             b = cert["vdg"]
-            assert b != "inf"
+            check(b != "inf", "hensel certificate with finite v(g) has v(g') = inf")
             goal = target_H + b  # so the truncation agrees with the true root
             guard = 0
             while P.valuation(H(x)) < goal:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ZeroElement
+from .errors import ZeroElement, check
 from .ffield import (
     FF,
     FFElem,
@@ -80,9 +80,9 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
     for h, _e in factors:
         gbar = fmul(gbar, h, p)
     hbar, r = fdivmod(fred(f_ints, p), gbar, p)
-    assert not r
+    check(not r, "product of the factors does not divide f mod p")
     T = fsub(fmul(gbar, hbar, p * p), fred(f_ints, p * p), p * p)
-    assert all(c % p == 0 for c in T), "g*h != f mod p, factorization broken"
+    check(all(c % p == 0 for c in T), "g*h != f mod p, factorization broken")
     Tbar = ftrim([c // p for c in T])
     return fgcd(fgcd(Tbar, gbar, p), hbar, p) == (1,)
 
@@ -110,18 +110,9 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
             k >>= 1
         return result
 
-    # keep only the part splitting over this field
-    q = field.order
-    h = h.gcd(powmod(x, q, h) - x)
-    roots: list[FFElem] = []
-
-    def split(g: KPoly):
-        # g is monic and squarefree, a product of distinct linear factors
-        if g.degree == 0:
-            return
-        if g.degree == 1:
-            roots.append(-g.coeffs[0])
-            return
+    def proper_factor(g: KPoly) -> KPoly | None:
+        # g is monic and squarefree, a product of at least two distinct
+        # linear factors
         for a in field.elements():
             if field.p == 2:
                 # trace map splitter: T(a*Y) = sum of (a*Y)^(2^i), i < f
@@ -135,12 +126,21 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
                 w = powmod(KPoly(field, [a, field.one()]), (q - 1) // 2, g) - one
             d = g.gcd(w)
             if 0 < d.degree < g.degree:
-                split(d)
-                split(divmod(g, d)[0])
-                return
-        raise AssertionError("root splitter exhausted the field")
+                return d
+        return None
 
-    split(h)
+    q = field.order
+    roots: list[FFElem] = []
+    # keep only the part splitting over this field
+    work = [h.gcd(powmod(x, q, h) - x)]
+    while work:
+        g = work.pop()
+        if g.degree == 1:
+            roots.append(-g.coeffs[0])
+        elif g.degree > 1:
+            d = proper_factor(g)
+            check(d is not None, "root splitter exhausted the field")
+            work += [d, divmod(g, d)[0]]
     return sorted(roots, key=lambda r: r.key())
 
 

@@ -145,6 +145,11 @@ class PValuation:
             raise NegativeValuation(f"residue of element with v = {v}")
         if v > 0:
             return k_P.zero()
+        return self.unit_residue(x)
+
+    def unit_residue(self, x: FieldElement) -> FFElem:
+        """residue(x) for an x the caller knows to be a P-unit, without
+        computing its valuation again."""
         p = self.p
         den = math.lcm(*(c.denominator for c in x.coords))
         k = vp_int(den, p)
@@ -160,7 +165,7 @@ class PValuation:
             q, r = divmod(c % mod, p**k)
             assert r == 0, "p-integral element left a nonzero low digit"
             digits.append(q * d0_inv)
-        return k_P.element(digits)
+        return self.residue_field.element(digits)
 
     def lift_residue(self, r: FFElem) -> FieldElement:
         """The canonical preimage of r: its coefficients b_0, ..., b_{f-1}

@@ -263,10 +263,24 @@ def test_self_checks_survive_python_O():
         "    print('constructed')\n"
         "from prime_scope.suite import case_no_short_and_levels\n"
         "print(case_no_short_and_levels()[0])\n"
+        "from prime_scope import closure\n"
+        "from prime_scope.numberfield import KPoly, nf_create\n"
+        "from prime_scope.primes import primes_above\n"
+        "K = nf_create('X')\n"
+        "(P,) = primes_above(K, 5)\n"
+        "closure._squarefree = lambda g: g * g\n"
+        "try:\n"
+        "    closure.has_root_in_closure(P, KPoly(K, [K.rational(-2), K.zero(), K.one()]))\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc.code)\n"
+        "else:\n"
+        "    print('decided')\n"
     )
     r = subprocess.run(opt + [script], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:2] == ["raised InvariantViolated", "True"]
+    assert r.stdout.split("\n")[:3] == [
+        "raised InvariantViolated", "True", "raised InvariantViolated",
+    ]
     r = subprocess.run(
         [sys.executable, "-O", "-m", "prime_scope.cli", "--height-bound", "4",
          "squares", "check-s6", "--field", "X^2+2", "--p", "3", "--poly", "X^2+1",

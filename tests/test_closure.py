@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+from prime_scope import closure
 from prime_scope.closure import (
     RootReport,
     has_root_in_closure,
     padic_root,
     verify_root_report,
 )
-from prime_scope.errors import NonMonic, NoRoot
+from prime_scope.errors import NonMonic, NoRoot, Unsupported
 from prime_scope.ffield import ff_is_square
-from prime_scope.numberfield import KPoly, nf_create, real_embeddings
+from prime_scope.numberfield import KPoly, format_element, nf_create, real_embeddings
 from prime_scope.primes import primes_above, residue, valuation
 from prime_scope.qpoly import QPoly, parse_poly
 
@@ -239,3 +240,161 @@ def test_root_report_json_roundtrip():
     j = r.to_json()
     assert j["has_root"] is True
     assert j["certificate"]["depth"] >= 1
+
+
+# --- the reduced-polynomial search against the digit search it replaced ---------
+
+def _digit_dfs(P, H, depth_cap):
+    """The former closure search, kept as a referee: a depth-first walk over
+    every residue digit, with the same accept test, the dead-prefix rule
+    v(H(x)) < depth and the same depth cap.  Returns the hensel certificate
+    (without its shift) of the first accepting node, or None."""
+    K = P.field
+    t = P.uniformizer
+    dH = H.derivative()
+    lifts = [P.lift_residue(r) for r in P.residue_field.elements()]
+
+    def dfs(x, depth):
+        a = P.valuation(H(x))
+        b = P.valuation(dH(x))
+        if a == math.inf or a > 2 * b:
+            return {
+                "kind": "hensel",
+                "residue": format_element(x),
+                "depth": depth,
+                "vg": "inf" if a == math.inf else a,
+                "vdg": "inf" if b == math.inf else b,
+            }
+        if a < depth or depth >= depth_cap:
+            return None
+        tpow = t**depth
+        for lift in lifts:
+            got = dfs(x + lift * tpow, depth + 1)
+            if got is not None:
+                return got
+        return None
+
+    return dfs(K.zero(), 0)
+
+
+def _digit_padic_search(P, g):
+    """closure._padic_search with the digit search in place of the new one."""
+    H, shift = closure._integralize(P, closure._squarefree(g))
+    D = P.valuation(H.resultant(H.derivative()))
+    cert = _digit_dfs(P, H, 2 * D + 1)
+    if cert is None:
+        cert = {"kind": "exhausted", "depth_cap": 2 * D + 1, "disc_valuation": D}
+    cert["shift"] = shift
+    return RootReport(cert["kind"] == "hensel", cert), H, shift
+
+
+# (field, prime, index of the prime above it); per field a ramified, an inert
+# and a split prime; Q(cbrt2) is inert at 7 (2 is no cube mod 7) and splits
+# completely at 31 (2 = 4^3 mod 31)
+_AGREEMENT_PLACES = [
+    ("X^2+1", 2, 0), ("X^2+1", 3, 0), ("X^2+1", 5, 1),
+    ("X^2-2", 2, 0), ("X^2-2", 3, 0), ("X^2-2", 7, 0),
+    ("X^3-2", 3, 0), ("X^3-2", 7, 0), ("X^3-2", 31, 2),
+]
+
+
+def _agreement_corpus(rng, K, count):
+    """Seeded monic polynomials of degree 1-4 over K with small
+    coefficients; about a third of those above degree 1 have a root in K."""
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        cs = [K.element([rng.randint(-4, 4) for _ in range(K.degree)]) for _ in range(d)]
+        g = KPoly(K, cs + [K.one()])
+        if d > 1 and rng.random() < 0.35:
+            r = K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+            g = KPoly(K, cs[: d - 1] + [K.one()]) * KPoly(K, [-r, K.one()])
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("text, p, index", _AGREEMENT_PLACES,
+                         ids=[f"{t}@{p}#{i}" for t, p, i in _AGREEMENT_PLACES])
+def test_search_agrees_with_the_digit_search(text, p, index, monkeypatch):
+    K = nf_create(text)
+    P = primes_above(K, p)[index]
+    rng = random.Random(f"{text}@{p}")
+    # the digit search costs about q^k valuations on X^2 - u t^(2k), so the
+    # large residue fields get a smaller corpus and fewer deep inputs
+    q = P.residue_field.order
+    corpus = _agreement_corpus(rng, K, 12 if q > 50 else 30)
+    u = K.element([1] * K.degree)
+    ks = (1, 2) if q < 10 else (1,) if q < 50 else ()
+    corpus += [KPoly(K, [-(u * P.uniformizer ** (2 * k)), K.zero(), K.one()]) for k in ks]
+    seen = set()
+    for g in corpus:
+        new = has_root_in_closure(P, g)
+        old = _digit_padic_search(P, g)[0]
+        assert new.has_root == old.has_root, g
+        assert verify_root_report(P, g, new)
+        seen.add(new.has_root)
+        if new.has_root:
+            k = rng.randint(1, 12)
+            y = padic_root(P, g, k)
+            with monkeypatch.context() as m:
+                m.setattr(closure, "_padic_search", _digit_padic_search)
+                assert padic_root(P, g, k) == y, g
+    assert seen == {True, False}
+
+
+# --- deep inputs: the search stays linear in the depth -------------------------
+
+def _x2_minus(K, c):
+    return KPoly(K, [-c, K.zero(), K.one()])
+
+
+@pytest.mark.parametrize("k", [10, 50])
+def test_deep_nonsquare_over_q_at_5(k, wall_clock_limit):
+    (P,) = primes_above(RAT, 5)
+    g = _x2_minus(RAT, RAT.rational(2 * 5 ** (2 * k)))
+    with wall_clock_limit(2):
+        r = has_root_in_closure(P, g)
+    assert not r.has_root
+    assert r.certificate == {
+        "kind": "exhausted", "depth_cap": 4 * k + 1, "disc_valuation": 2 * k, "shift": 0,
+    }
+
+
+def test_deep_padic_root_to_120(wall_clock_limit):
+    (P,) = primes_above(RAT, 5)
+    g = _x2_minus(RAT, RAT.rational(5**100))
+    with wall_clock_limit(2):
+        y = padic_root(P, g, 120)
+    assert valuation(P, g(y)) >= 120
+
+
+def test_deep_ramified_prime_of_gaussian_field(wall_clock_limit):
+    (P,) = primes_above(GAUSS, 2)
+    assert P.e == 2
+    # 3 is not a square in Q_2(i): the rationals that are squares there are
+    # Q_2*^2 and -Q_2*^2, and neither 3 (3 mod 8) nor -3 (5 mod 8) is a
+    # 2-adic square
+    g = _x2_minus(GAUSS, GAUSS.rational(3 * 2**12))
+    with wall_clock_limit(2):
+        r = has_root_in_closure(P, g)
+    assert not r.has_root
+    # v_P(disc) = v_P(4 * 3 * 2^12) = 2 * 14, e = 2
+    assert r.certificate == {
+        "kind": "exhausted", "depth_cap": 57, "disc_valuation": 28, "shift": 0,
+    }
+
+
+def test_deep_inert_prime_of_gaussian_field(wall_clock_limit):
+    (P,) = primes_above(GAUSS, 3)
+    u = GAUSS.element([1, 1])
+    assert not ff_is_square(residue(P, u))
+    with wall_clock_limit(2):
+        r = has_root_in_closure(P, _x2_minus(GAUSS, u * 3**4))
+    assert not r.has_root
+
+
+def test_node_cap_raises_unsupported(monkeypatch):
+    (P,) = primes_above(RAT, 5)
+    monkeypatch.setattr(closure, "SEARCH_NODE_CAP", 1)
+    with pytest.raises(Unsupported, match="SEARCH_NODE_CAP = 1 "):
+        has_root_in_closure(P, _x2_minus(RAT, RAT.rational(2 * 5**6)))
