@@ -7,7 +7,7 @@ emits and evaluates the associated first-order formula families, and covers
 the sums-of-squares side (four squares, levels, the Kochen operator).
 """
 
-from .config import Config, DEFAULT, config_from_env
+from .config import Config, DEFAULT
 from .qpoly import QPoly, cyclotomic, parse_poly, format_poly
 from .ffield import FF, FFElem, ffield_order, irreducible_poly, poly_factor_mod_p
 from .numberfield import (
@@ -74,7 +74,6 @@ from .suite import run_suite, transcript
 __all__ = [
     "Config",
     "DEFAULT",
-    "config_from_env",
     "QPoly",
     "cyclotomic",
     "parse_poly",

@@ -4,8 +4,8 @@ Every verb prints one JSON value on stdout (or an indented / plain-text
 rendering with --output text) and exits 0.  Domain errors print the shared
 error JSON {"error": code, "detail": ..., "clause": ...} and exit 1; usage
 and syntax problems exit 2; a failed internal self-check (InvariantViolated)
-prints the same error JSON and exits 3.  Output is deterministic given the Config; the
-PRIME_SCOPE_SEED environment variable overrides --seed.
+prints the same error JSON and exits 3.  Output is deterministic: it depends
+only on the arguments.
 
 Global flags come before the verb:
 
@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .closure import has_root_in_closure, padic_root
-from .config import Config, config_from_env
+from .config import Config
 from .dense import d_witness, ud_witness, weak_approx_value, zgroup_witness
 from .errors import InvariantViolated, PrimeScopeError, Unsupported
 from .formulas import (
@@ -281,7 +281,7 @@ def _h_formula_parse(args, config):
 
 def _h_squares_four(args, config):
     q = Fraction(args.q)
-    return 0, four_squares(q, config).to_json(), None
+    return 0, four_squares(q).to_json(), None
 
 
 def _h_squares_member(args, config):
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--height-bound", type=int, default=1000, metavar="N")
     top.add_argument("--precision-cap", type=int, default=1000, metavar="N")
-    top.add_argument("--seed", type=int, default=0, metavar="N")
     top.add_argument("--output", choices=("json", "text"), default="json")
     verbs = top.add_subparsers(dest="verb", required=True)
 
@@ -518,9 +517,7 @@ def _emit(obj, text, config):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_env(
-        Config(args.height_bound, args.precision_cap, args.seed, args.output)
-    )
+    config = Config(args.height_bound, args.precision_cap, args.output)
     try:
         code, obj, text = args.handler(args, config)
     except InvariantViolated as exc:

@@ -1,28 +1,25 @@
-"""Run configuration shared by searches and the CLI."""
+"""Run configuration shared by searches and the CLI.  Every search is
+deterministic in its inputs, so the configuration holds only bounds and the
+output format."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Config:
-    """Bounds and determinism knobs.
+    """Bounds and rendering.
 
     height_bound   -- cap on the canonical height enumeration used by
                       witness/translation searches (default 1000).
     precision_cap  -- cap on the p-adic working exponent N (lifts are computed
                       mod p^N; default 1000).
-    seed           -- mixed into the four-squares descent only; every other
-                      search is deterministic in its inputs.  Overridden by
-                      the PRIME_SCOPE_SEED environment variable.
     output         -- "json" or "text" rendering in the CLI.
     """
 
     height_bound: int = 1000
     precision_cap: int = 1000
-    seed: int = 0
     output: str = "json"
 
     def __post_init__(self):
@@ -30,15 +27,6 @@ class Config:
             raise ValueError("bounds must be positive")
         if self.output not in ("json", "text"):
             raise ValueError("output must be json or text")
-
-
-def config_from_env(base: Config | None = None) -> Config:
-    """Apply the PRIME_SCOPE_SEED override, if set, on top of ``base``."""
-    cfg = base or Config()
-    raw = os.environ.get("PRIME_SCOPE_SEED")
-    if raw is not None:
-        return Config(cfg.height_bound, cfg.precision_cap, int(raw), cfg.output)
-    return cfg
 
 
 DEFAULT = Config()

@@ -229,8 +229,7 @@ def _block_idempotents(K: NumberField, p: int, N: int) -> list[FieldElement]:
         F = blocks[j]
         C = _other_blocks(blocks, j, mod)
         g, u, w = fext_gcd(fred(F, p), fred(C, p), p)
-        if g != (1,):
-            raise AssertionError("block factors are not coprime mod p")
+        check(g == (1,), "block factors are not coprime mod p")
         m = p
         while m < mod:
             m = min(m * m, mod)

@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotPIntegral, Unsupported, ZeroElement
+from .errors import NotPIntegral, Unsupported, ZeroElement, check
 from .qpoly import QPoly
 
 FPoly = tuple[int, ...]
@@ -178,7 +178,7 @@ def bezout_lift(g: FPoly, h: FPoly, s: FPoly, t: FPoly, m: int) -> tuple[FPoly, 
     c, d = fdivmod(fmul(s, b, m), h, m)
     s2 = fsub(s, d, m)
     t2 = fsub(fsub(t, fmul(t, b, m), m), fmul(c, g, m), m)
-    assert fadd(fmul(s2, g, m), fmul(t2, h, m), m) == (1,), "bezout lift failed"
+    check(fadd(fmul(s2, g, m), fmul(t2, h, m), m) == (1,), "bezout lift failed")
     return s2, t2
 
 
@@ -194,13 +194,13 @@ def _hensel_step(f, g, h, s, t, m: int, mm: int):
     monic of degree deg f.  Capping at mm matters when f itself is only known
     to that precision, as happens for peeled cofactors."""
     e = fsub(f, fmul(g, h, mm), mm)
-    assert all(c % m == 0 for c in e), "input factorization invalid"
+    check(all(c % m == 0 for c in e), "input factorization invalid")
     q, r = fdivmod(fmul(s, e, mm), h, mm)
     g2 = fadd(g, fadd(fmul(t, e, mm), fmul(q, g, mm), mm), mm)
     h2 = fadd(h, r, mm)
-    assert len(g2) == len(g) and g2[-1] == 1, "factor lift lost monicity"
-    assert len(h2) == len(h) and h2[-1] == 1
-    assert not fsub(f, fmul(g2, h2, mm), mm), "factor lift broke product"
+    check(len(g2) == len(g) and g2[-1] == 1, "factor lift lost monicity")
+    check(len(h2) == len(h) and h2[-1] == 1, "cofactor lift lost monicity")
+    check(not fsub(f, fmul(g2, h2, mm), mm), "factor lift broke product")
     s2, t2 = bezout_lift(g2, h2, s, t, mm)
     return g2, h2, s2, t2
 

@@ -248,7 +248,8 @@ class MPoly:
 
     def substitute(self, args: list) -> "MPoly":
         """Plug MPoly arguments (all in the same target variable set)."""
-        assert len(args) == self.nvars and args
+        if not args or len(args) != self.nvars:
+            raise ValueError(f"substitute needs {self.nvars} arguments, got {len(args)}")
         n = args[0].nvars
         acc = MPoly(n, {})
         for e, c in self.terms.items():
@@ -258,10 +259,6 @@ class MPoly:
                     mono = mono * args[i] ** k
             acc = acc + mono
         return acc
-
-    @property
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __call__(self, values: list) -> FieldElement:
         """Evaluate at FieldElements of one field."""
@@ -681,8 +678,6 @@ def print_formula(node) -> str:
             parts.append(print_formula(v))
     return "(" + " ".join(parts) + ")"
 
-
-print_term = print_formula
 
 _SYM = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 

@@ -5,7 +5,7 @@ valuations and residue maps, and root finding over a finite field.
 Everything here works on monic integer polynomials in the ``ffield`` kernel's
 form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 The module has no polynomial arithmetic of its own: the blocks are lifted by
-``ffield.hensel_lift``, whose asserts reverify the defining identities at
+``ffield.hensel_lift``, whose self-checks reverify the defining identities at
 each doubling step, and root finding over a residue field
 F_q = ffield.FF(p, hbar) runs on numberfield's KPoly with FFElem
 coefficients.
@@ -14,6 +14,7 @@ coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import ZeroElement, check
 from .ffield import (
@@ -93,8 +94,11 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
 
 def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     """All roots in `field` of a polynomial with FFElem coefficients, sorted
-    by the canonical element key.  Deterministic: the splitting scan walks
-    field elements in enumeration order rather than sampling."""
+    by the canonical element key.  Deterministic: the splitter tries the
+    shifts a by key instead of sampling, those outside the prime field
+    F_p (keys p, ..., q-1) first.  For odd p and even f every element of
+    F_p is a square in F_q = F_{p^f}, so a shift a in F_p never separates
+    two roots that lie in F_p."""
     h = KPoly(field, coeffs)
     if h.is_zero:
         raise ZeroElement("root set of the zero polynomial")
@@ -113,7 +117,9 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     def proper_factor(g: KPoly) -> KPoly | None:
         # g is monic and squarefree, a product of at least two distinct
         # linear factors
-        for a in field.elements():
+        shifts = field.elements()
+        prime_field = list(islice(shifts, field.p))
+        for a in chain(shifts, prime_field):
             if field.p == 2:
                 # trace map splitter: T(a*Y) = sum of (a*Y)^(2^i), i < f
                 if a.is_zero:

@@ -611,9 +611,6 @@ class KPoly:
             hi, plus=True if hi is None else True
         )
 
-    def has_root_in_ordering(self, P: Ordering) -> bool:
-        return self.count_roots_in_ordering(P, None, None) > 0
-
     def __repr__(self):
         return f"KPoly([{', '.join(map(repr, self.coeffs))}])"
 
@@ -663,26 +660,6 @@ def _split_primes(K: NumberField) -> Iterator[tuple[int, list[int]]]:
             yield known[-1]
 
 
-def _sqrt_mod(v: int, l: int) -> int | None:
-    """A square root of v mod the odd prime l, or None for a non-residue
-    (Tonelli-Shanks)."""
-    v %= l
-    if v == 0 or pow(v, (l - 1) // 2, l) != 1:
-        return None if v else 0
-    q, e = l - 1, 0
-    while q % 2 == 0:
-        q, e = q // 2, e + 1
-    z = next(z for z in count(2) if pow(z, (l - 1) // 2, l) == l - 1)
-    c, t, x = pow(z, q, l), pow(v, q, l), pow(v, (q + 1) // 2, l)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            i, t2 = i + 1, t2 * t2 % l
-        b = pow(c, 1 << (e - i - 1), l)
-        e, c, t, x = i, b * b % l, t * b * b % l, x * b % l
-    return x
-
-
 def square_root(r: FieldElement) -> FieldElement | None:
     """y in K with y * y == r, or None when r is not a square in K.
 
@@ -693,9 +670,10 @@ def square_root(r: FieldElement) -> FieldElement | None:
     F bounds the coordinates of Y by sqrt(disc) * n * Z * A with Z^2 =
     sum |s_i| B^i >= |s| at every root and A = ((n-1)^(1/2) B^(n-1))^(n-1).
     At the first odd prime l that splits F completely, is prime to disc and
-    leaves s a unit at every root a_j, a non-residue s(a_j) proves r a
-    non-square.  Otherwise each s(a_j) has exactly the two square roots +-t_j
-    mod l^N, Hensel-lifted from mod l together with the a_j; for each of the
+    leaves s a unit at every root a_j, a non-residue s(a_j) (X^2 - s(a_j)
+    irreducible mod l) proves r a non-square.  Otherwise X^2 - s(a_j) factors
+    mod l as (X - t_j)(X + t_j), and the factors are Hensel-lifted to the two
+    square roots +-t_j mod l^N, together with the a_j; for each of the
     2^(n-1) sign patterns the Lagrange interpolant of disc * (+-t_j) is
     lifted symmetrically, and once l^N > 2 * (bound) one pattern gives Y (or
     -Y) exactly when r is a square.  A candidate counts only after y * y == r
@@ -714,19 +692,19 @@ def square_root(r: FieldElement) -> FieldElement | None:
     bound = isqrt(disc * n * n * zsq * (n - 1) ** (n - 1) * B ** (2 * (n - 1) ** 2)) + 1
     for l, roots in _split_primes(K):
         values = [sum(c * pow(a, i, l) for i, c in enumerate(s)) % l for a in roots]
-        sqrts = [_sqrt_mod(v, l) for v in values if v]
-        if None in sqrts:
+        root_pairs = [[h for h, _ in factor_fpoly((-v % l, 0, 1), l)] for v in values if v]
+        if any(len(hs) == 1 for hs in root_pairs):
             return None  # a non-residue at a degree-1 prime
-        if len(sqrts) == n:
+        if len(root_pairs) == n:
             break
     N, M = 1, l
     while M <= 2 * bound:
         N, M = N + 1, M * l
     A = [-h[0] % M for h in hensel_lift(F, [(-a % l, 1) for a in roots], l, N)]
     terms = []
-    for j, (a, t0) in enumerate(zip(A, sqrts)):
+    for j, (a, hs) in enumerate(zip(A, root_pairs)):
         c = sum(v * pow(a, i, M) for i, v in enumerate(s)) % M
-        t = -hensel_lift([-c, 0, 1], [(-t0 % l, 1), (t0, 1)], l, N)[0][0] % M
+        t = -hensel_lift([-c, 0, 1], hs, l, N)[0][0] % M
         basis, den = (1,), 1
         for k, ak in enumerate(A):
             if k != j:

@@ -21,6 +21,7 @@ from .errors import (
     NoneWithinBound,
     PrecisionOverflow,
     Unsupported,
+    check,
 )
 from .ffield import FF, FFElem, fdivmod, ff_is_square, fred, is_prime
 from .localdata import (
@@ -36,8 +37,9 @@ from .numberfield import (
     Ordering,
     elements_by_height,
     real_embeddings,
+    square_root,
 )
-from .qpoly import QPoly, is_square_rational
+from .qpoly import QPoly
 
 INFINITE_PLACE = "inf"
 
@@ -126,7 +128,7 @@ class PValuation:
             if R != 0:
                 vr = vp_int(R.numerator, self.p)
                 if vr < N:
-                    assert vr % self.f == 0, "resultant valuation not a multiple of f"
+                    check(vr % self.f == 0, "resultant valuation not a multiple of f")
                     return self.e * vc + vr // self.f
             if N >= precision_cap:
                 raise PrecisionOverflow(f"valuation undecided at precision p^{N}")
@@ -163,7 +165,7 @@ class PValuation:
         digits = []
         for c in rem:
             q, r = divmod(c % mod, p**k)
-            assert r == 0, "p-integral element left a nonzero low digit"
+            check(r == 0, "p-integral element left a nonzero low digit")
             digits.append(q * d0_inv)
         return self.residue_field.element(digits)
 
@@ -218,9 +220,9 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
     if not dedekind_applies(K.poly, p, [(hbar, e) for hbar, e, _ in lifts[16]]):
         raise IndexDivisible(f"p = {p} divides the index for this field")
     out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e, _) in enumerate(lifts[16])]
-    assert sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree"
+    check(sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree")
     for P in out:
-        assert P.valuation(P.uniformizer) == 1, "uniformizer check failed"
+        check(P.valuation(P.uniformizer) == 1, "uniformizer check failed")
     K._prime_cache[cache_key] = tuple(out)
     return out
 
@@ -297,30 +299,6 @@ def holomorphy_member(
 # ---------------------------------------------------------------------------
 
 _BEHAVIORS = ("split", "inert", "ramified")
-_ODD_PRIMES_BELOW_100 = tuple(ell for ell in range(3, 100) if is_prime(ell))
-
-
-def _nonsquare_in_field(K: NumberField, d: FieldElement) -> bool:
-    """A certificate that d is not a square in K, or False when none of the
-    cheap certificates fires (a negative embedding, an odd valuation, or a
-    nonsquare residue at an auxiliary prime)."""
-    if K.degree == 1:
-        return not is_square_rational(d.as_fraction())
-    for O in real_embeddings(K):
-        if O.sign(d) < 0:
-            return True
-    for ell in _ODD_PRIMES_BELOW_100:
-        try:
-            primes = primes_above(K, ell)
-        except (IndexDivisible, Unsupported):
-            continue
-        for Q in primes:
-            v = Q.valuation(d)
-            if v % 2 == 1:
-                return True
-            if v == 0 and not ff_is_square(Q.residue(d)):
-                return True
-    return False
 
 
 def _behavior_at(P: PValuation, d: FieldElement) -> str:
@@ -340,10 +318,11 @@ def quadratic_step_search(
     constraints: Sequence[tuple[int, str]],
     height_bound: int = DEFAULT.height_bound,
 ) -> FieldElement:
-    """Smallest-height nonsquare d in K^x making each constrained prime above
-    p behave as requested in K(sqrt(d)).  The found d is re-verified: always
-    through root-existence of X^2 - d in the completion, and for K = Q also
-    by literally splitting p in Q(sqrt(d))."""
+    """The first nonsquare d in K^x, in elements_by_height order, making
+    each constrained prime above p behave as requested in K(sqrt(d)); each
+    candidate's nonsquareness is decided exactly by square_root.  The found
+    d is re-verified: always through root-existence of X^2 - d in the
+    completion, and for K = Q also by literally splitting p in Q(sqrt(d))."""
     if p == 2:
         raise Unsupported("quadratic step search requires odd p")
     if K.degree > 4:
@@ -362,7 +341,7 @@ def quadratic_step_search(
             raise NoneWithinBound(
                 f"no quadratic step element of height <= {height_bound}"
             )
-        if not _nonsquare_in_field(K, d):
+        if square_root(d) is not None:
             continue
         if all(_behavior_at(primes[i], d) == b for i, b in want.items()):
             _verify_quadratic_step(K, p, primes, want, d)
@@ -378,11 +357,11 @@ def _verify_quadratic_step(K, p, primes, want, d) -> None:
         v = P.valuation(d)
         has = has_root_in_closure(P, g)
         if b == "ramified":
-            assert v % 2 == 1, "ramified verification failed"
+            check(v % 2 == 1, "ramified verification failed")
         elif b == "split":
-            assert has, "split verification failed: no local square root"
+            check(has, "split verification failed: no local square root")
         else:
-            assert v % 2 == 0 and not has, "inert verification failed"
+            check(v % 2 == 0 and not has, "inert verification failed")
     if K.degree == 1 and want:
         dq = d.as_fraction()
         scale = dq.denominator  # d * scale^2 is an integer defining the same extension
@@ -398,5 +377,5 @@ def _verify_quadratic_step(K, p, primes, want, d) -> None:
             "inert": [(1, 2)],
             "ramified": [(2, 1)],
         }[next(iter(want.values()))]
-        assert shapes == expect, "literal re-split disagreed"
+        check(shapes == expect, "literal re-split disagreed")
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, check
 
 Q = Fraction
 
@@ -262,10 +262,6 @@ class QPoly:
         seq = _seq if _seq is not None else sturm_sequence(self)
         return _variations(seq, lo) - _variations(seq, hi)
 
-    def count_real_roots(self) -> int:
-        seq = sturm_sequence(self)
-        return _variations_at_minus_inf(seq) - _variations_at_plus_inf(seq)
-
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
         """Disjoint rational intervals (lo, hi), each containing exactly one
         real root of self, sorted ascending; endpoints are never roots."""
@@ -331,7 +327,7 @@ def poly_squarefree_part(p):
     if g.degree == 0:
         return p.monic()
     q, r = divmod(p, g)
-    assert r.is_zero, "gcd(p, p') does not divide p"
+    check(r.is_zero, "gcd(p, p') does not divide p")
     return q.monic()
 
 
@@ -365,20 +361,6 @@ def poly_resultant(f, g):
 
 def _variations(seq: Sequence[QPoly], x) -> int:
     signs = [p.sign_at(x) for p in seq]
-    return sign_changes(signs)
-
-
-def _variations_at_plus_inf(seq) -> int:
-    return sign_changes([(p.lc > 0) - (p.lc < 0) for p in seq])
-
-
-def _variations_at_minus_inf(seq) -> int:
-    signs = []
-    for p in seq:
-        s = (p.lc > 0) - (p.lc < 0)
-        if p.degree % 2:
-            s = -s
-        signs.append(s)
     return sign_changes(signs)
 
 
@@ -490,14 +472,6 @@ def format_poly(p: QPoly) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def is_square_rational(q: Fraction) -> bool:
-    if q < 0:
-        return False
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    return rn * rn == n and rd * rd == d
 
 
 def rationals_of_height(h: int) -> list[Fraction]:

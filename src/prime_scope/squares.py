@@ -1,22 +1,21 @@
 """Sums of squares, levels, and the gamma operator.
 
-Everything here is exact: four-square decompositions are verified by
-re-summation, level computations brute-force the finite field, and the
-short-representation check either certifies that no x up to the height bound
-has any y in K completing a representation, or hands back the tuple that
-breaks it.
+Everything here is exact: four-square decompositions come from one
+deterministic descent and are verified by re-summation, the level of F_q is
+read off q mod 4, and the short-representation check either certifies that
+no x up to the height bound has any y in K completing a representation, or
+hands back the tuple that breaks it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 from fractions import Fraction
 
 from .config import DEFAULT, Config
 from .dense import Ball, WitnessReport, ordering_witness, simultaneous_ball
 from .errors import (
+    InvariantViolated,
     Negative,
     NoneWithinBound,
     PreconditionViolated,
@@ -24,14 +23,7 @@ from .errors import (
     ZeroElement,
     check,
 )
-from .ffield import (
-    FF,
-    factor_fpoly,
-    ff_is_square,
-    irreducible_poly,
-    is_prime,
-    reduce_qpoly_mod_p,
-)
+from .ffield import factor_fpoly, is_prime, reduce_qpoly_mod_p
 from .localdata import ff_poly_roots
 from .numberfield import (
     FieldElement,
@@ -84,37 +76,34 @@ def _two_squares_tail(r: int, y_top: int):
 
 
 def _three_squares(m: int):
-    """(x, y, z) descending with x^2+y^2+z^2 = m, or None (m of the excluded
-    4^a(8b+7) shape has none)."""
+    """(x, y, z) descending with x^2+y^2+z^2 = m, or None exactly when m has
+    the shape 4^a(8b+7) (Legendre's three-square theorem), decided before any
+    scan."""
+    k = m
+    while k and k % 4 == 0:
+        k //= 4
+    if k % 8 == 7:
+        return None
     for x in range(math.isqrt(m), -1, -1):
         tail = _two_squares_tail(m - x * x, x)
         if tail is not None:
             return (x,) + tail
-    return None
+    raise InvariantViolated("three-square decomposition must exist")
 
 
-_BRUTE_LIMIT = 10**6
-
-
-def _four_squares_int(n: int, rng: random.Random) -> tuple:
-    if n == 0:
-        return (0, 0, 0, 0)
-    top = math.isqrt(n)
-    if n <= _BRUTE_LIMIT:
-        for w in range(top, -1, -1):
-            tail = _three_squares(n - w * w)
-            if tail is not None:
-                return tuple(sorted((w,) + tail, reverse=True))
-        raise AssertionError("four-square decomposition must exist")
-    # large n: sample the top of the w range; every window retry widens it
-    for window in itertools.count(32):
-        w = top - rng.randrange(min(top + 1, window))
+def _four_squares_int(n: int) -> tuple:
+    """The descent w = isqrt(n), isqrt(n) - 1, ...: the first w whose
+    remainder n - w^2 is a sum of three squares, parts sorted descending.
+    Legendre's test rejects an excluded remainder without scanning it, so
+    only remainders that have a decomposition are scanned."""
+    for w in range(math.isqrt(n), -1, -1):
         tail = _three_squares(n - w * w)
         if tail is not None:
             return tuple(sorted((w,) + tail, reverse=True))
+    raise InvariantViolated("four-square decomposition must exist")
 
 
-def four_squares(q, config: Config = DEFAULT) -> SquareDecomposition:
+def four_squares(q) -> SquareDecomposition:
     """Exact decomposition of a nonnegative rational into at most four
     rational squares: q = 0 gives an empty decomposition, anything else gives
     exactly four parts in descending order (zeros padded at the end).
@@ -127,8 +116,7 @@ def four_squares(q, config: Config = DEFAULT) -> SquareDecomposition:
         raise Negative(f"{q} has no sum-of-squares decomposition")
     if q == 0:
         return SquareDecomposition(q, ())
-    rng = random.Random(config.seed)
-    ints = _four_squares_int(q.numerator * q.denominator, rng)
+    ints = _four_squares_int(q.numerator * q.denominator)
     parts = tuple(Fraction(c, q.denominator) for c in ints)
     return SquareDecomposition(q, parts)
 
@@ -197,12 +185,14 @@ def kochen(p: int, x: FieldElement) -> KochenValue:
 
 
 def level_finite_field(p: int, f: int) -> int:
-    """Level of F_{p^f}: least s with -1 a sum of s squares; always 1 or 2."""
-    if p == 2:
-        return 1
-    F = FF(p, reduce_qpoly_mod_p(irreducible_poly(p, f), p))
-    minus_one = F.element([-1])
-    return 1 if ff_is_square(minus_one) else 2
+    """Level of F_{p^f}: least s with -1 a sum of s squares, 1 or 2.  In
+    characteristic 2, -1 = 1 is a square; otherwise -1 is a square exactly
+    when 4 divides the order p^f - 1 of the cyclic group F_q^x."""
+    if not is_prime(p):
+        raise ValueError(f"not a rational prime: {p}")
+    if f < 1:
+        raise ValueError("degree must be positive")
+    return 1 if p == 2 or pow(p, f, 4) == 1 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +442,7 @@ def d_sos_witness(
     if eps.is_zero:
         raise PreconditionViolated("eps must be nonzero", clause="epsilon-nonzero")
     bound = height_bound if height_bound is not None else config.height_bound
-    cfg = Config(height_bound=bound, precision_cap=config.precision_cap, seed=config.seed)
+    cfg = Config(height_bound=bound, precision_cap=config.precision_cap)
     orderings = K.orderings()
     locals_ = []
     steps = 0

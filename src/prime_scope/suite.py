@@ -323,7 +323,7 @@ def case_kochen(config: Config = DEFAULT):
 
 def case_four_squares(config: Config = DEFAULT):
     for n in range(10**4 + 1):
-        dec = four_squares(n, config)
+        dec = four_squares(n)
         if sum(c * c for c in dec.parts) != n:
             return False, f"reconstruction failed at {n}"
     return True, "all integers <= 10000 decomposed and re-summed exactly"

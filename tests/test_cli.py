@@ -12,7 +12,6 @@ CMD = [sys.executable, "-m", "prime_scope.cli"]
 
 def run(*args, env=None, timeout=None):
     merged = dict(os.environ)
-    merged.pop("PRIME_SCOPE_SEED", None)
     if env:
         merged.update(env)
     return subprocess.run(
@@ -176,16 +175,18 @@ def test_closure_root_achieves_requested_valuation():
     assert (x * x + 1) % 5**4 == 0
 
 
-def test_seed_env_override_changes_search_randomization():
-    big = "1000003"
-    a = run("squares", "four", "--q", big, env={"PRIME_SCOPE_SEED": "7"})
-    b = run("squares", "four", "--q", big, env={"PRIME_SCOPE_SEED": "7"})
-    c = run("squares", "four", "--q", big, env={"PRIME_SCOPE_SEED": "8"})
-    assert a.stdout == b.stdout
-    assert a.stdout != c.stdout
-    for r in (a, c):
-        parts = [int(t) for t in json.loads(r.stdout)["parts"]]
-        assert sum(t * t for t in parts) == int(big)
+def test_four_squares_of_a_30_digit_integer_answers():
+    big = str(10**29 + 123456789)
+    r = run("squares", "four", "--q", big, timeout=5.0)
+    assert r.returncode == 0, r.stderr
+    parts = [int(t) for t in json.loads(r.stdout)["parts"]]
+    assert len(parts) == 4 and sum(t * t for t in parts) == int(big)
+
+
+def test_seed_flag_is_rejected():
+    r = run("--seed", "7", "squares", "four", "--q", "7")
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_same_invocation_is_byte_deterministic():
@@ -275,11 +276,29 @@ def test_self_checks_survive_python_O():
         "    print('raised', exc.code)\n"
         "else:\n"
         "    print('decided')\n"
+        "from prime_scope.ffield import hensel_lift\n"
+        "try:\n"
+        "    hensel_lift([1, 0, 1], [(1, 1), (2, 1)], 5, 4)\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc.code, exc.detail)\n"
+        "else:\n"
+        "    print('lifted')\n"
+        "from prime_scope import primes\n"
+        "lift = primes.lift_block_factorization\n"
+        "primes.lift_block_factorization = lambda f, p, N: lift(f, p, N)[:-1]\n"
+        "try:\n"
+        "    primes.primes_above(nf_create('X^2+1'), 5)\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised', exc.code, exc.detail)\n"
+        "else:\n"
+        "    print('split')\n"
     )
     r = subprocess.run(opt + [script], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n")[:3] == [
+    assert r.stdout.split("\n")[:5] == [
         "raised InvariantViolated", "True", "raised InvariantViolated",
+        "raised InvariantViolated input factorization invalid",
+        "raised InvariantViolated sum e_i f_i must equal degree",
     ]
     r = subprocess.run(
         [sys.executable, "-O", "-m", "prime_scope.cli", "--height-bound", "4",
@@ -295,7 +314,7 @@ def test_failed_self_check_exits_3(monkeypatch, capsys):
     from prime_scope import cli
     from prime_scope.errors import InvariantViolated
 
-    def forged(q, config):
+    def forged(q):
         raise InvariantViolated("forged re-verification failure")
 
     monkeypatch.setattr(cli, "four_squares", forged)

@@ -18,7 +18,6 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)
-    env.pop("PRIME_SCOPE_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr

@@ -1,5 +1,6 @@
-"""Module boundaries: no package module imports a private name from a sibling,
-and no function re-imports from a sibling its module imports at top level."""
+"""Source rules checked on the package ASTs: no module imports a private name
+from a sibling, no function re-imports from a sibling its module imports at
+top level, and no assert statement stands in for a self-check."""
 
 import ast
 import pathlib
@@ -52,3 +53,14 @@ def test_no_function_local_import_from_a_top_level_sibling():
                 if isinstance(node, ast.ImportFrom) and _sibling(node) in top
             }
     assert not local, sorted(local)
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; self-checks go through errors.check
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import prime_scope.primes as primes_module
-from prime_scope.errors import IndexDivisible, NegativeValuation
-from prime_scope.ffield import ffield_order, fmul, fred
+from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
+from prime_scope.ffield import ff_is_square, ffield_order, fmul, fred, is_prime
 from prime_scope.formulas import rootless_poly
 from prime_scope.localdata import dedekind_applies, lift_block_factorization
-from prime_scope.numberfield import nf_create, real_embeddings
+from prime_scope.numberfield import elements_by_height, nf_create, real_embeddings, square_root
 from prime_scope.primes import (
     INFINITE_PLACE,
     PrimeType,
@@ -345,12 +345,55 @@ def test_quadratic_step_rational_examples():
 
 def test_quadratic_step_two_constraints():
     # ask the two primes of Q(i) above 13 to behave differently
-    from prime_scope.errors import Unsupported
-
     with pytest.raises(Unsupported):
         quadratic_step_search(RAT, 2, [(0, "split")])
     d = quadratic_step_search(GAUSS, 13, [(0, "split"), (1, "inert")])
     assert not d.is_zero
+
+
+def _certified_nonsquare(K, d):
+    """The earlier cheap-certificate test: a negative embedding, an odd
+    valuation or a nonsquare residue at an odd prime below 100 proves d a
+    nonsquare; False when none of them fires."""
+    if K.degree == 1:
+        q = d.as_fraction()
+        return q < 0 or any(math.isqrt(k) ** 2 != k for k in (q.numerator, q.denominator))
+    if any(O.sign(d) < 0 for O in real_embeddings(K)):
+        return True
+    for ell in filter(is_prime, range(3, 100)):
+        try:
+            primes = primes_above(K, ell)
+        except (IndexDivisible, Unsupported):
+            continue
+        for Q in primes:
+            v = Q.valuation(d)
+            if v % 2 == 1 or (v == 0 and not ff_is_square(Q.residue(d))):
+                return True
+    return False
+
+
+STEP_CASES = [
+    (RAT, 5, [(0, "split")]),
+    (RAT, 5, [(0, "inert")]),
+    (RAT, 5, [(0, "ramified")]),
+    (GAUSS, 13, [(0, "split"), (1, "inert")]),
+    (GAUSS, 3, [(0, "ramified")]),
+    (SQRT2, 7, [(0, "inert")]),
+    (nf_create("X^3-2"), 5, [(0, "split")]),
+]
+
+
+@pytest.mark.parametrize("K, p, constraints", STEP_CASES)
+def test_quadratic_step_matches_the_certificate_walk(K, p, constraints):
+    primes = primes_above(K, p)
+    want = next(
+        d for d in elements_by_height(K, include_zero=False)
+        if _certified_nonsquare(K, d)
+        and all(primes_module._behavior_at(primes[i], d) == b for i, b in constraints)
+    )
+    d = quadratic_step_search(K, p, constraints)
+    assert d == want
+    assert square_root(d) is None
 
 
 # --- Hensel block lifts and Dedekind's criterion ---------------------------

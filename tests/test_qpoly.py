@@ -105,7 +105,7 @@ def test_format_is_ascending_and_sparse():
     [(1, 0, 1), (-2, 0, 1), (0, -1, 0, 1), (-1, -1, 1, 1, 0, 1), (2, -3, 0, 0, 1)],
 )
 def test_real_root_count_matches_sympy(coeffs):
-    assert QPoly(coeffs).count_real_roots() == oracle_real_root_count(coeffs)
+    assert len(QPoly(coeffs).isolate_real_roots()) == oracle_real_root_count(coeffs)
 
 
 def test_isolation_intervals_are_isolating():

@@ -5,14 +5,15 @@ import tracemalloc
 import pytest
 from fractions import Fraction
 
-from prime_scope.config import Config
 from prime_scope.errors import InvariantViolated, Negative, PreconditionViolated
+from prime_scope.ffield import FF, ff_is_square, irreducible_poly, is_prime, reduce_qpoly_mod_p
 from prime_scope.numberfield import KPoly, NumberField, elements_by_height, square_root
 from prime_scope.primes import primes_above, valuation
 from prime_scope.qpoly import parse_poly
 from prime_scope.squares import (
     KochenValue,
     SquareDecomposition,
+    _three_squares,
     d_sos_witness,
     four_squares,
     kochen,
@@ -80,11 +81,63 @@ def test_four_squares_large_uses_descent_and_stays_exact():
     n = 10**6 + 7
     dec = four_squares(n)
     assert sum(c * c for c in dec.parts) == n
-    # deterministic given the seed
     again = four_squares(n)
     assert dec.parts == again.parts
-    other = four_squares(n, Config(seed=99))
-    assert sum(c * c for c in other.parts) == n
+
+
+def _brute_descent(n):
+    """The descent without Legendre's test: every remainder is scanned."""
+
+    def two(r, y_top):
+        for y in range(min(y_top, math.isqrt(r)), -1, -1):
+            z2 = r - y * y
+            if z2 > y * y:
+                return None
+            z = math.isqrt(z2)
+            if z * z == z2:
+                return (y, z)
+        return None
+
+    def three(m):
+        for x in range(math.isqrt(m), -1, -1):
+            tail = two(m - x * x, x)
+            if tail is not None:
+                return (x,) + tail
+        return None
+
+    for w in range(math.isqrt(n), -1, -1):
+        tail = three(n - w * w)
+        if tail is not None:
+            return tuple(sorted((w,) + tail, reverse=True))
+
+
+def test_four_squares_small_integers_match_the_brute_descent():
+    for n in range(1, 10**4 + 1):
+        assert four_squares(n).parts == _brute_descent(n), n
+
+
+def test_three_squares_none_exactly_on_legendre_shape():
+    sums = {x * x + y * y + z * z for x in range(55) for y in range(55) for z in range(55)}
+    for m in range(3000):
+        k = m
+        while k and k % 4 == 0:
+            k //= 4
+        assert (k % 8 == 7) == (m not in sums), m
+        got = _three_squares(m)
+        assert (got is None) == (m not in sums), m
+        if got is not None:
+            assert sum(c * c for c in got) == m and list(got) == sorted(got, reverse=True)
+
+
+@pytest.mark.parametrize("digits", [20, 30])
+def test_four_squares_large_integers_finish(digits, wall_clock_limit):
+    rng = random.Random(digits)
+    draws = [rng.randrange(10**digits, 10 ** (digits + 1)) for _ in range(20)]
+    with wall_clock_limit(2):
+        for n in draws:
+            dec = four_squares(n)
+            assert sum(c * c for c in dec.parts) == n
+            assert len(dec.parts) == 4
 
 
 def test_square_decomposition_guards_its_invariant():
@@ -193,6 +246,20 @@ def test_level_pinned_values():
 def test_level_mod_four_law_small():
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         assert (level_finite_field(p, 1) == 1) == (p % 4 == 1)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_level_matches_the_square_test_in_the_field(f):
+    for p in filter(is_prime, range(2, 60)):
+        F = FF(p, reduce_qpoly_mod_p(irreducible_poly(p, f), p))
+        want = 1 if ff_is_square(F.element([-1])) else 2
+        assert level_finite_field(p, f) == want, (p, f)
+
+
+@pytest.mark.parametrize("p, f", [(0, 1), (1, 1), (4, 1), (9, 1), (2, 0), (3, 0)])
+def test_level_rejects_bad_p_and_f(p, f):
+    with pytest.raises(ValueError):
+        level_finite_field(p, f)
 
 
 def test_level_squares_collapse():
