@@ -114,8 +114,7 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
     """Does monic g acquire a zero in the closure of (K, P)?"""
     _require_monic_nonconstant(g)
     if isinstance(P, Ordering):
-        h = _squarefree(g)
-        count = h.count_roots_in_ordering(P, None, None)
+        count = g.count_roots_in_ordering(P, None, None)
         return RootReport(count > 0, {"kind": "ordering", "sturm_count": count})
     return _padic_search(P, g)[0]
 
@@ -282,8 +281,7 @@ def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
     search that produced it.  Positive hensel certificates recompute both
     valuations; ordering certificates recount; exhaustion reruns the search."""
     if isinstance(P, Ordering):
-        h = _squarefree(g)
-        count = h.count_roots_in_ordering(P, None, None)
+        count = g.count_roots_in_ordering(P, None, None)
         cert = report.certificate
         return (
             cert.get("kind") == "ordering"
@@ -292,8 +290,7 @@ def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
         )
     cert = report.certificate
     if cert.get("kind") == "hensel":
-        h = _squarefree(g)
-        H, shift = _integralize(P, h)
+        H, shift = _integralize(P, _squarefree(g))
         if shift != cert.get("shift"):
             return False
         x = parse_element(P.field, cert["residue"])

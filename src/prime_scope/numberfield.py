@@ -386,9 +386,6 @@ class Ordering:
         if g.degree == 0:
             c = g.coeff(0)
             return 1 if c > 0 else -1
-        if self.field.degree == 1:
-            v = g(self.field.gen().as_fraction())
-            return (v > 0) - (v < 0)
         # x = g(root); nonzero since f is irreducible and deg g < deg f.
         # shrink the interval until g has no root inside and no root at the
         # endpoints; then the sign is constant on the interval.
@@ -607,9 +604,7 @@ class KPoly:
                 signs.append(s)
             return sign_changes(signs)
 
-        return var_at(lo, plus=False if lo is None else True) - var_at(
-            hi, plus=True if hi is None else True
-        )
+        return var_at(lo, plus=False) - var_at(hi, plus=True)
 
     def __repr__(self):
         return f"KPoly([{', '.join(map(repr, self.coeffs))}])"

@@ -23,7 +23,16 @@ from .errors import (
     Unsupported,
     check,
 )
-from .ffield import FF, FFElem, fdivmod, ff_is_square, fred, is_prime
+from .ffield import (
+    FF,
+    FFElem,
+    fdivmod,
+    ff_is_square,
+    fred,
+    is_prime,
+    poly_factor_mod_p,
+    reduce_qpoly_mod_p,
+)
 from .localdata import (
     dedekind_applies,
     lift_block_factorization,
@@ -75,11 +84,11 @@ class PValuation:
     """A prime of K above the rational prime p, i.e. a normalized p-valuation
     v with v(K^x) = Z.  Carries e, f, the mod-p local factor hbar, the
     residue field F_p[X]/(hbar) (by Dedekind-Kummer, X is the class of the
-    generator), a uniformizer, and lazily grown Hensel lift data.
+    generator), a uniformizer, and Hensel lift data made on first use.
 
     `lifts` maps a precision N to lift_block_factorization(f, p, N); the
     primes above p share one such dict, so a lift made for one of them serves
-    them all."""
+    them all.  Rational valuations read no lift."""
 
     def __init__(
         self, field: NumberField, p: int, index: int, hbar: tuple[int, ...], e: int, lifts: dict
@@ -104,19 +113,23 @@ class PValuation:
         return "p-adic"
 
     def block(self, N: int) -> tuple[int, ...]:
-        """The Hensel lift of hbar^e as an exact factor of f modulo p^N."""
+        """The Hensel lift of hbar^e as an exact factor of f mod p^N, made on first use."""
         if N not in self._lifts:
             self._lifts[N] = lift_block_factorization(self.field.poly, self.p, N)
-        return self._lifts[N][self.index][2]
+        hbar, _e, F = self._lifts[N][self.index]
+        check(hbar == self.hbar, "block lift out of step with the prime's factor")
+        return F
 
     # --- core operations --------------------------------------------------
     def valuation(self, x: FieldElement, precision_cap: int = DEFAULT.precision_cap):
         """v(x); +inf for x = 0.  Exact by the stability rule: the resultant
         of x's primitive part against the block lift mod p^N is congruent to
         the true (nonzero) resultant mod p^N, so once its p-adic valuation
-        drops below N it is the true valuation."""
+        drops below N it is the true valuation; v(x) = e v_p(x) for rational x."""
         if x.is_zero:
             return math.inf
+        if x.is_rational():
+            return self.e * vp_fraction(x.as_fraction(), self.p)
         g = x.as_qpoly()
         content, prim = g.content_and_primitive()
         vc = vp_fraction(content, self.p)
@@ -205,25 +218,23 @@ class PValuation:
 
 def primes_above(K: NumberField, p: int) -> list[PValuation]:
     """All primes of K above p, sorted canonically by their mod-p factor
-    (degree, then coefficients); index positions are stable API."""
+    (degree, then coefficients); index positions are stable API.  Their block
+    lifts are made on first use, so splitting an unramified p lifts nothing."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"not a rational prime: {p}")
-    cache_key = p
-    if cache_key in K._prime_cache:
-        return list(K._prime_cache[cache_key])
-    for c in K.poly.coeffs:
-        if c.denominator != 1:
-            raise Unsupported(
-                "prime splitting requires an integral defining polynomial"
-            )
-    lifts = {16: lift_block_factorization(K.poly, p, 16)}
-    if not dedekind_applies(K.poly, p, [(hbar, e) for hbar, e, _ in lifts[16]]):
+    if p in K._prime_cache:
+        return list(K._prime_cache[p])
+    if any(c.denominator != 1 for c in K.poly.coeffs):
+        raise Unsupported("prime splitting requires an integral defining polynomial")
+    factors = [(reduce_qpoly_mod_p(h, p), e) for h, e in poly_factor_mod_p(K.poly, p)]
+    if not dedekind_applies(K.poly, p, factors):
         raise IndexDivisible(f"p = {p} divides the index for this field")
-    out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e, _) in enumerate(lifts[16])]
+    lifts: dict = {}
+    out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e) in enumerate(factors)]
     check(sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree")
     for P in out:
         check(P.valuation(P.uniformizer) == 1, "uniformizer check failed")
-    K._prime_cache[cache_key] = tuple(out)
+    K._prime_cache[p] = tuple(out)
     return out
 
 

@@ -257,22 +257,20 @@ class QPoly:
         return 1 + m / abs(self.lc)
 
     def count_real_roots_between(self, lo, hi, _seq=None) -> int:
-        """Distinct real roots in (lo, hi]; endpoints must not be roots of the
-        squarefree part for the usual clean reading, which callers arrange."""
+        """Distinct real roots in (lo, hi], for endpoints that are not roots."""
         seq = _seq if _seq is not None else sturm_sequence(self)
         return _variations(seq, lo) - _variations(seq, hi)
 
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
         """Disjoint rational intervals (lo, hi), each containing exactly one
         real root of self, sorted ascending; endpoints are never roots."""
-        p = self.squarefree_part()
-        if p.degree < 1:
+        if self.degree < 1:
             return []
-        seq = sturm_sequence(p)
-        b = p.root_bound()
+        seq = sturm_sequence(self)
+        b = self.root_bound()
         lo, hi = -b, b
         # endpoints of the Cauchy box are never roots (strict bound)
-        total = p.count_real_roots_between(lo, hi, _seq=seq)
+        total = self.count_real_roots_between(lo, hi, _seq=seq)
         out: list[tuple[Fraction, Fraction]] = []
         # bisection with an explicit stack, left half on top: the intervals
         # come out ascending however many halvings separate two roots
@@ -284,9 +282,9 @@ class QPoly:
             if n <= 1:
                 continue
             mid = (lo + hi) / 2
-            while p(mid) == 0:
+            while self(mid) == 0:
                 mid = (lo + mid) / 2  # nudge off the root, stay inside
-            nl = p.count_real_roots_between(lo, mid, _seq=seq)
+            nl = self.count_real_roots_between(lo, mid, _seq=seq)
             stack.append((mid, hi, n - nl))
             stack.append((lo, mid, nl))
         return out
@@ -301,10 +299,10 @@ def _coerce(v) -> "QPoly":
 
 
 def sturm_sequence(p):
-    """Sturm chain of the squarefree part of p: p0, p0', then negated
-    remainders.  Serves QPoly and numberfield's KPoly alike."""
-    p0 = p.squarefree_part()
-    seq = [p0, p0.derivative()]
+    """The signed remainder chain p, p', then negated remainders.  Its sign
+    variations count the distinct real roots of p between two non-roots,
+    with no squarefree step.  Serves QPoly and numberfield's KPoly alike."""
+    seq = [p, p.derivative()]
     while not seq[-1].is_zero:
         seq.append(-(seq[-2] % seq[-1]))
     seq.pop()
@@ -360,8 +358,7 @@ def poly_resultant(f, g):
 
 
 def _variations(seq: Sequence[QPoly], x) -> int:
-    signs = [p.sign_at(x) for p in seq]
-    return sign_changes(signs)
+    return sign_changes([p.sign_at(x) for p in seq])
 
 
 def sign_changes(signs: list[int]) -> int:

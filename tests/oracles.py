@@ -42,6 +42,13 @@ def oracle_real_root_count(coeffs_ascending):
     return len(sym_poly(coeffs_ascending).real_roots())
 
 
+def oracle_distinct_real_root_count(coeffs_ascending):
+    """Distinct real roots, for coefficients that are rationals or exact
+    sympy algebraic numbers such as sqrt(2)."""
+    expr = sum(sympy.sympify(c) * X**k for k, c in enumerate(coeffs_ascending))
+    return len(sympy.real_roots(Poly(expr, X, extension=True), multiple=False))
+
+
 def oracle_real_roots(coeffs_ascending):
     """Sorted real roots as sympy numbers (exact algebraic objects)."""
     return sym_poly(coeffs_ascending).real_roots()

@@ -284,8 +284,8 @@ def test_self_checks_survive_python_O():
         "else:\n"
         "    print('lifted')\n"
         "from prime_scope import primes\n"
-        "lift = primes.lift_block_factorization\n"
-        "primes.lift_block_factorization = lambda f, p, N: lift(f, p, N)[:-1]\n"
+        "factor = primes.poly_factor_mod_p\n"
+        "primes.poly_factor_mod_p = lambda f, p: factor(f, p)[:-1]\n"
         "try:\n"
         "    primes.primes_above(nf_create('X^2+1'), 5)\n"
         "except InvariantViolated as exc:\n"

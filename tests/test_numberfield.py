@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import prime_scope.numberfield as numberfield_module
 from prime_scope.errors import DivisionByZero, NotMonic, Reducible
@@ -20,8 +21,9 @@ from prime_scope.numberfield import (
     sign_at,
 )
 from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height
+from prime_scope.suite import FIELD_CORPUS
 
-from oracles import oracle_is_irreducible_over_q
+from oracles import oracle_distinct_real_root_count, oracle_is_irreducible_over_q
 
 
 # --- creation and certification -------------------------------------------
@@ -280,6 +282,50 @@ def test_kpoly_root_count_in_ordering():
     assert f.count_roots_in_ordering(pos, None, None) > 0
     assert not f.count_roots_in_ordering(neg, None, None) > 0
     assert f.count_roots_in_ordering(pos, None, None) == 2
+
+
+def test_kpoly_root_count_with_repeated_roots_matches_sympy():
+    # -(Y^2-2)^2 (Y+1)^3 over Q and over Q(sqrt2), and -(Y-a)^2 (Y^2-a)^3
+    # over Q(sqrt2) with a^2 = 2, whose count depends on the ordering
+    rational = -QPoly([-2, 0, 1]) ** 2 * QPoly([1, 1]) ** 3
+    want = oracle_distinct_real_root_count(rational.coeffs)
+    for K in (nf_create("X"), nf_create("X^2-2")):
+        g = KPoly.from_qpoly(K, rational)
+        for P in real_embeddings(K):
+            assert g.count_roots_in_ordering(P, None, None) == want
+    K = nf_create("X^2-2")
+    a, one = K.gen(), K.one()
+    lin = KPoly(K, [-a, one])
+    quad = KPoly(K, [-a, K.zero(), one])
+    g = KPoly(K, [-one]) * lin * lin * quad * quad * quad
+    for P, root2 in zip(real_embeddings(K), (-sympy.sqrt(2), sympy.sqrt(2))):
+        image = [c.coords[0] + c.coords[1] * root2 for c in g.coeffs]
+        want = oracle_distinct_real_root_count(image)
+        assert want == (1 if root2 < 0 else 3)
+        assert g.count_roots_in_ordering(P, None, None) == want
+
+
+# canonical isolating intervals of the real fields of the suite corpus
+CORPUS_ORDERINGS = {
+    "X": [(-1, 1)],
+    "X^2-2": [(-3, 0), (0, 3)],
+    "X^2-3": [(-4, 0), (0, 4)],
+    "X^2-5": [(-6, 0), (0, 6)],
+    "X^2-X-1": [(-2, 0), (0, 2)],
+    "X^3-2": [(-3, 3)],
+    "X^3-3": [(-4, 4)],
+    "X^3+X+1": [(-2, 2)],
+    "X^3-X-1": [(-2, 2)],
+    "X^3+2X+1": [(-3, 3)],
+    "X^3+X^2+1": [(-2, 2)],
+    "X^4-X-1": [(-2, 0), (0, 2)],
+}
+
+
+def test_corpus_ordering_intervals_are_pinned():
+    for text in FIELD_CORPUS:
+        got = [O.interval for O in nf_create(text).orderings()]
+        assert got == CORPUS_ORDERINGS.get(text, []), text
 
 
 def test_kpoly_eval_and_shift():

@@ -10,7 +10,7 @@ import prime_scope.primes as primes_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
 from prime_scope.ffield import ff_is_square, ffield_order, fmul, fred, is_prime
 from prime_scope.formulas import rootless_poly
-from prime_scope.localdata import dedekind_applies, lift_block_factorization
+from prime_scope.localdata import dedekind_applies, lift_block_factorization, vp_fraction, vp_int
 from prime_scope.numberfield import elements_by_height, nf_create, real_embeddings, square_root
 from prime_scope.primes import (
     INFINITE_PLACE,
@@ -24,6 +24,7 @@ from prime_scope.primes import (
     residue,
     valuation,
 )
+from prime_scope.qpoly import QPoly
 from prime_scope.squares import kochen
 from prime_scope.suite import FIELD_CORPUS
 
@@ -437,10 +438,8 @@ def test_composite_p_is_rejected(p):
         kochen(p, RAT.rational(3))
 
 
-def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
-    K = nf_create("X^3-2")
-    primes = primes_above(K, 31)
-    assert len(primes) == 3
+def _counted_lifts(monkeypatch) -> list[int]:
+    """Record the precision N of every block lift that primes makes."""
     lift = primes_module.lift_block_factorization
     precisions = []
 
@@ -449,6 +448,69 @@ def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
         return lift(f, p, N)
 
     monkeypatch.setattr(primes_module, "lift_block_factorization", counted)
+    return precisions
+
+
+def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
+    K = nf_create("X^3-2")
+    primes = primes_above(K, 31)
+    assert len(primes) == 3
+    precisions = _counted_lifts(monkeypatch)
     blocks = [P.block(32) for P in primes]
     assert precisions == [32]
-    assert blocks == [F for _, _, F in lift(K.poly, 31, 32)]
+    assert blocks == [F for _, _, F in lift_block_factorization(K.poly, 31, 32)]
+
+
+def test_splitting_and_rational_valuations_make_no_lift(monkeypatch):
+    precisions = _counted_lifts(monkeypatch)
+    K = nf_create("X^3-2")  # a fresh field: no prime of it is cached
+    primes = primes_above(K, 31)  # 31 = 1 mod 3 splits into three unramified primes
+    assert [(P.e, P.f) for P in primes] == [(1, 1)] * 3
+    assert len(K.orderings()) == 1
+    for P in primes:
+        for q in (Fraction(31**5, 7), Fraction(2, 31**3), Fraction(-1)):
+            assert P.valuation(K.rational(q)) == vp_fraction(q, 31)
+    assert precisions == []
+    # the first non-rational valuation lifts once, at 16, for every prime above 31
+    alpha = K.gen()
+    assert primes[0].valuation(alpha) == 0
+    assert precisions == [16]
+    for P in primes:
+        root = -P.hbar[0] % 31  # hbar = X - root
+        assert P.valuation(alpha - K.rational(root)) >= 1
+        assert P.valuation(alpha * alpha + K.one()) == 0
+    assert precisions == [16]
+    # a ramified prime still lifts at 16 to check its uniformizer
+    (P2,) = primes_above(nf_create("X^2+1"), 2)
+    assert P2.e == 2 and precisions == [16, 16]
+
+
+def _resultant_path_valuation(P, x) -> int:
+    """v_P(x) through the general path: the content of x's polynomial, and
+    the resultant of its primitive part against the block lift mod p^16."""
+    content, prim = x.as_qpoly().content_and_primitive()
+    R = QPoly([Fraction(c) for c in P.block(16)]).resultant(QPoly(prim))
+    vr = vp_int(R.numerator, P.p)
+    assert vr < 16 and vr % P.f == 0
+    return P.e * vp_fraction(content, P.p) + vr // P.f
+
+
+def test_rational_valuations_agree_with_the_resultant_path():
+    rng = random.Random(1913)
+    ramified = set()
+    for text in FIELD_CORPUS:
+        K = nf_create(text)
+        for p in (2, 3, 5, 7, 11, 13):
+            try:
+                primes = primes_above(K, p)
+            except IndexDivisible:
+                continue
+            for _ in range(6):
+                num = rng.choice((-1, 1)) * p ** rng.randint(0, 40) * rng.randint(1, 10**6)
+                den = p ** rng.randint(0, 40) * rng.randint(1, 10**6)
+                x = K.rational(Fraction(num, den))
+                for P in primes:
+                    assert P.valuation(x) == _resultant_path_valuation(P, x), (text, p, x)
+                    if P.e > 1:
+                        ramified.add((text, p))
+    assert {("X^2+1", 2), ("X^3-2", 2), ("X^3-2", 3)} <= ramified

@@ -16,7 +16,7 @@ from prime_scope.qpoly import (
     rationals_by_height,
 )
 
-from oracles import oracle_real_root_count, sym_poly
+from oracles import oracle_distinct_real_root_count, oracle_real_root_count, sym_poly
 
 
 def P(*cs):
@@ -106,6 +106,25 @@ def test_format_is_ascending_and_sparse():
 )
 def test_real_root_count_matches_sympy(coeffs):
     assert len(QPoly(coeffs).isolate_real_roots()) == oracle_real_root_count(coeffs)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        -P(-2, 0, 1) ** 2 * P(1, 1) ** 3,  # -(X^2-2)^2 (X+1)^3
+        P(-3) * P(-2, 0, 0, 1) ** 2 * P(-3, 1),  # -3 (X^3-2)^2 (X-3)
+        -P(-1, 1) ** 4 * P(0, 1) ** 2 * P(1, 0, 1),  # -(X-1)^4 X^2 (X^2+1)
+        P(Fraction(-1, 2)) * P(-1, 2) ** 3 * P(-3, 0, 1) * P(-2, 0, 1) ** 2,
+    ],
+)
+def test_isolation_of_repeated_roots_matches_sympy(f):
+    # one Sturm chain of f and f' counts distinct roots, with no squarefree step
+    ivs = f.isolate_real_roots()
+    assert len(ivs) == oracle_distinct_real_root_count(f.coeffs)
+    roots = sorted(set(sym_poly(f.coeffs).real_roots()))
+    for (lo, hi), r in zip(ivs, roots):
+        assert f(lo) != 0 and f(hi) != 0
+        assert lo < r < hi
 
 
 def test_isolation_intervals_are_isolating():
