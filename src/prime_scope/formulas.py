@@ -402,8 +402,11 @@ def _phi_term(g: QPoly, us: list) -> Term:
 
 
 def _nu_parts(p: int, tau: PrimeType, n: int):
-    """(g, phi MPoly, x-variable names, inner R^x formula) for nu_{p,n}^tau."""
-    g, phi = build_phi_n(p, tau.f, n)
+    """(x-variable names, inner R^x formula) for nu_{p,n}^tau; phi_n enters
+    as the nested term of rootless_poly(p, f), never expanded."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    g = rootless_poly(p, tau.f)
     efact = math.factorial(tau.e)
     xs = [f"x{i}" for i in range(n)]
     us = []
@@ -417,14 +420,14 @@ def _nu_parts(p: int, tau: PrimeType, n: int):
             u = TMul(u, fct)
         us.append(u)
     inner = r_unit(_phi_term(g, us))
-    return g, phi, xs, inner
+    return xs, inner
 
 
 def emit_nu(p: int, tau: PrimeType, n: int) -> Formula:
     """forall y (y != 0 -> exists x_0..x_{n-1} R^x(phi_n(y^(e!) p^i x_i^n)))."""
     if is_infinite_place(p):
         raise Unsupported("nu is defined for finite p only")
-    _, _, xs, inner = _nu_parts(p, tau, n)
+    xs, inner = _nu_parts(p, tau, n)
     body = inner
     for name in reversed(xs):
         body = FEx(name, body)
@@ -613,7 +616,7 @@ def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int, config: Config = DE
         )
     if not S_eq:
         return EvalVerdict("Proven")
-    _, _, xs, inner = _nu_parts(p, tau, n)
+    xs, inner = _nu_parts(p, tau, n)
 
     def patterns(k: int):
         if k == 0:

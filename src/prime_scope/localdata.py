@@ -27,8 +27,6 @@ from .ffield import (
     fsub,
     ftrim,
     hensel_lift,
-    poly_factor_mod_p,
-    reduce_qpoly_mod_p,
 )
 from .numberfield import KPoly
 from .qpoly import QPoly
@@ -43,23 +41,20 @@ def _as_ints(f: QPoly) -> list[int]:
     return out
 
 
-def lift_block_factorization(f: QPoly, p: int, N: int):
-    """Factor f mod p into prime-power blocks h_i^{e_i} and lift each block to
-    an exact factor of f modulo p^N.
+def lift_block_factorization(f: QPoly, p: int, N: int, factors):
+    """Lift the prime-power blocks h_i^{e_i} of the factorization of f mod p,
+    given as its (hbar_i, e_i) pairs (hbar_i the mod-p irreducible as a tuple
+    over F_p, e_i its multiplicity), each to an exact factor of f mod p^N.
 
-    Returns a list of (hbar_i, e_i, F_i), sorted by the canonical factor order
-    (degree, then coefficients of hbar_i), where hbar_i is the mod-p
-    irreducible (tuple over F_p), e_i its multiplicity, and F_i the block lift
-    as an integer coefficient tuple with prod F_i = f (mod p^N)."""
-    f_ints = _as_ints(f)
-    factors = [(reduce_qpoly_mod_p(hq, p), e) for hq, e in poly_factor_mod_p(f, p)]
+    Returns a list of (hbar_i, e_i, F_i) in the order of `factors`, F_i the
+    block lift as an integer coefficient tuple with prod F_i = f (mod p^N)."""
     blocks = []
     for hbar, e in factors:
         blk = (1,)
         for _ in range(e):
             blk = fmul(blk, hbar, p)
         blocks.append(blk)
-    lifts = hensel_lift(f_ints, blocks, p, N)
+    lifts = hensel_lift(_as_ints(f), blocks, p, N)
     return [(hbar, e, F) for (hbar, e), F in zip(factors, lifts)]
 
 

@@ -6,8 +6,9 @@ decided for every degree, by factoring mod small primes and recombining
 Hensel lifts (a reducible polynomial is refused with a factor as witness);
 elements are coordinate vectors over the power basis 1, a, ..., a^{n-1},
 and square_root decides exactly whether one is a square in K.
-Orderings correspond to the real roots of f, carried as shrinking rational
-isolating intervals; every sign query is decided exactly, floats never enter.
+Orderings correspond to the real roots of f, each carried as a fixed rational
+isolating interval; every sign query is one exact Cauchy-index count on that
+interval, and floats never enter.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations, count, product
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible
+from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible, check
 from .ffield import (
     factor_fpoly,
     fadd,
@@ -41,6 +42,7 @@ from .qpoly import (
     rationals_of_height,
     sign_changes,
     sturm_sequence,
+    variations,
 )
 
 # the number of good primes (f squarefree mod p) certify_irreducible factors
@@ -360,9 +362,8 @@ def parse_element(field: NumberField, text: str) -> FieldElement:
 class Ordering:
     """An ordering of the field: the real embedding sending the generator to
     the unique root of f in (lo, hi).  The stored interval is immutable (it is
-    the canonical isolating interval); sign queries refine a local copy, so an
-    Ordering value never changes behind a caller's back.  Endpoints are never
-    roots of f."""
+    the canonical isolating interval), and sign queries only read it.
+    Endpoints are never roots of f."""
 
     def __init__(self, field: NumberField, index: int, lo: Fraction, hi: Fraction):
         self.field = field
@@ -379,23 +380,23 @@ class Ordering:
         return (self._lo, self._hi)
 
     def sign(self, x: FieldElement) -> int:
-        """Exact sign of x under this embedding: -1, 0, or 1."""
+        """Exact sign of x under this embedding: -1, 0, or 1.
+
+        x = g(alpha) with g != 0 mod f, as f is irreducible and deg g < deg f.
+        The Cauchy index of g/f on (lo, hi), a count on the signed remainder
+        sequence of (f, g), is sign(f'(alpha) g(alpha)) = +-1 for the one
+        root alpha of f there, and f'(alpha) has the sign of f(hi)."""
         if x.is_zero:
             return 0
         g = x.as_qpoly()
         if g.degree == 0:
             c = g.coeff(0)
             return 1 if c > 0 else -1
-        # x = g(root); nonzero since f is irreducible and deg g < deg f.
-        # shrink the interval until g has no root inside and no root at the
-        # endpoints; then the sign is constant on the interval.
-        seq = sturm_sequence(g)
-        lo, hi = self._lo, self._hi
-        while True:
-            if g(lo) != 0 and g(hi) != 0:
-                if g.count_real_roots_between(lo, hi, _seq=seq) == 0:
-                    return g.sign_at(lo)
-            lo, hi = _refine_once(self.field.poly, lo, hi)
+        f = self.field.poly
+        seq = sturm_sequence(f, g)
+        index = variations(seq, self._lo) - variations(seq, self._hi)
+        check(abs(index) == 1, "Cauchy index on an isolating interval is not +-1")
+        return index * f.sign_at(self._hi)
 
     def to_json(self) -> dict:
         lo, hi = self.interval
@@ -420,28 +421,10 @@ class Ordering:
         return f"Ordering#{self.index}({lo},{hi})"
 
 
-def _refine_once(f: QPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an isolating interval of f, keeping the root strictly inside."""
-    mid = (lo + hi) / 2
-    while f(mid) == 0:
-        mid = (lo + mid) / 2
-    if f.sign_at(lo) * f.sign_at(mid) < 0:
-        return lo, mid
-    return mid, hi
-
-
 def nf_create(poly: QPoly | str) -> NumberField:
     if isinstance(poly, str):
         poly = parse_poly(poly)
     return NumberField(poly)
-
-
-def real_embeddings(field: NumberField) -> list[Ordering]:
-    return field.orderings()
-
-
-def sign_at(ordering: Ordering, x: FieldElement) -> int:
-    return ordering.sign(x)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +573,7 @@ class KPoly:
     ) -> int:
         """Distinct roots (in the real closure at P) in (lo, hi]; None means
         the corresponding infinity."""
-        seq = sturm_sequence(self)
+        seq = sturm_sequence(self, self.derivative())
 
         def var_at(x: Fraction | None, plus: bool) -> int:
             signs = []

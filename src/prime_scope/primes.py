@@ -45,7 +45,6 @@ from .numberfield import (
     NumberField,
     Ordering,
     elements_by_height,
-    real_embeddings,
     square_root,
 )
 from .qpoly import QPoly
@@ -86,18 +85,19 @@ class PValuation:
     residue field F_p[X]/(hbar) (by Dedekind-Kummer, X is the class of the
     generator), a uniformizer, and Hensel lift data made on first use.
 
-    `lifts` maps a precision N to lift_block_factorization(f, p, N); the
-    primes above p share one such dict, so a lift made for one of them serves
-    them all.  Rational valuations read no lift."""
+    `factors` is the factorization of f mod p as (hbar_i, e_i) pairs, this
+    prime's at `index`; `lifts` maps a precision N to
+    lift_block_factorization(f, p, N, factors).  The primes above p share both,
+    so f is factored mod p once and a lift made for one of them serves them
+    all.  Rational valuations read no lift."""
 
-    def __init__(
-        self, field: NumberField, p: int, index: int, hbar: tuple[int, ...], e: int, lifts: dict
-    ):
+    def __init__(self, field: NumberField, p: int, index: int, factors: list, lifts: dict):
         self.field = field
         self.p = p
         self.index = index
-        self.hbar = hbar
-        self.e = e
+        hbar, e = factors[index]
+        self.hbar, self.e = hbar, e
+        self._factors = factors
         self.f = len(hbar) - 1
         self._lifts = lifts
         self.residue_field = FF(p, hbar)
@@ -115,10 +115,8 @@ class PValuation:
     def block(self, N: int) -> tuple[int, ...]:
         """The Hensel lift of hbar^e as an exact factor of f mod p^N, made on first use."""
         if N not in self._lifts:
-            self._lifts[N] = lift_block_factorization(self.field.poly, self.p, N)
-        hbar, _e, F = self._lifts[N][self.index]
-        check(hbar == self.hbar, "block lift out of step with the prime's factor")
-        return F
+            self._lifts[N] = lift_block_factorization(self.field.poly, self.p, N, self._factors)
+        return self._lifts[N][self.index][2]
 
     # --- core operations --------------------------------------------------
     def valuation(self, x: FieldElement, precision_cap: int = DEFAULT.precision_cap):
@@ -230,7 +228,7 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
     if not dedekind_applies(K.poly, p, factors):
         raise IndexDivisible(f"p = {p} divides the index for this field")
     lifts: dict = {}
-    out = [PValuation(K, p, idx, hbar, e, lifts) for idx, (hbar, e) in enumerate(factors)]
+    out = [PValuation(K, p, idx, factors, lifts) for idx in range(len(factors))]
     check(sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree")
     for P in out:
         check(P.valuation(P.uniformizer) == 1, "uniformizer check failed")
@@ -263,7 +261,7 @@ def primes_of_type(
     """S_p^tau(K) (exact=False: e' <= e and f' | f) or S_p^{=tau}(K)
     (exact=True).  For the infinite place, all orderings regardless of tau."""
     if is_infinite_place(p):
-        return list(real_embeddings(K))
+        return list(K.orderings())
     out: list[Prime] = []
     for P in primes_above(K, p):
         if exact:

@@ -4,10 +4,10 @@ Coefficients are Fractions stored lowest-degree-first with trailing zeros
 stripped; the zero polynomial has an empty coefficient tuple and degree -1.
 Everything here is exact: no floats anywhere.
 
-The gcd, squarefree part, resultant and Sturm chain are module functions
-written once over any polynomial type with QPoly's interface (degree, lc,
-coeff, is_zero, monic, derivative, +, -, *, divmod); the QPoly methods and
-numberfield's KPoly methods delegate to them.
+The gcd, squarefree part, resultant and signed remainder sequence are module
+functions written once over any polynomial type with QPoly's interface
+(degree, lc, coeff, is_zero, monic, derivative, +, -, *, divmod); the QPoly
+methods, numberfield's KPoly methods and its ordering signs delegate to them.
 """
 
 from __future__ import annotations
@@ -256,21 +256,16 @@ class QPoly:
         m = max(abs(c) for c in self.coeffs[:-1]) if self.degree else Fraction(0)
         return 1 + m / abs(self.lc)
 
-    def count_real_roots_between(self, lo, hi, _seq=None) -> int:
-        """Distinct real roots in (lo, hi], for endpoints that are not roots."""
-        seq = _seq if _seq is not None else sturm_sequence(self)
-        return _variations(seq, lo) - _variations(seq, hi)
-
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
         """Disjoint rational intervals (lo, hi), each containing exactly one
         real root of self, sorted ascending; endpoints are never roots."""
         if self.degree < 1:
             return []
-        seq = sturm_sequence(self)
+        seq = sturm_sequence(self, self.derivative())
         b = self.root_bound()
         lo, hi = -b, b
         # endpoints of the Cauchy box are never roots (strict bound)
-        total = self.count_real_roots_between(lo, hi, _seq=seq)
+        total = variations(seq, lo) - variations(seq, hi)
         out: list[tuple[Fraction, Fraction]] = []
         # bisection with an explicit stack, left half on top: the intervals
         # come out ascending however many halvings separate two roots
@@ -284,7 +279,7 @@ class QPoly:
             mid = (lo + hi) / 2
             while self(mid) == 0:
                 mid = (lo + mid) / 2  # nudge off the root, stay inside
-            nl = self.count_real_roots_between(lo, mid, _seq=seq)
+            nl = variations(seq, lo) - variations(seq, mid)
             stack.append((mid, hi, n - nl))
             stack.append((lo, mid, nl))
         return out
@@ -298,11 +293,15 @@ def _coerce(v) -> "QPoly":
     return NotImplemented
 
 
-def sturm_sequence(p):
-    """The signed remainder chain p, p', then negated remainders.  Its sign
-    variations count the distinct real roots of p between two non-roots,
-    with no squarefree step.  Serves QPoly and numberfield's KPoly alike."""
-    seq = [p, p.derivative()]
+def sturm_sequence(p, q):
+    """The signed remainder sequence p, q, then negated remainders, without
+    its final zero.  Between two non-roots a < b of p its sign variations
+    drop by the Cauchy index of q/p on (a, b) (Basu, Pollack and Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2): for q = p' the number of
+    distinct real roots of p there, with no squarefree step, and for a p
+    with one simple root x there, sign(p'(x) q(x)).  Serves QPoly and
+    numberfield's KPoly alike."""
+    seq = [p, q]
     while not seq[-1].is_zero:
         seq.append(-(seq[-2] % seq[-1]))
     seq.pop()
@@ -357,7 +356,8 @@ def poly_resultant(f, g):
         f, g = g, r
 
 
-def _variations(seq: Sequence[QPoly], x) -> int:
+def variations(seq: Sequence[QPoly], x) -> int:
+    """Sign variations of a QPoly sequence at the rational x."""
     return sign_changes([p.sign_at(x) for p in seq])
 
 

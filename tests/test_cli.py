@@ -233,6 +233,14 @@ def test_phi_verbs_at_large_degree_finish_fast(args):
     json.loads(r.stdout)
 
 
+def test_emit_nu_at_n_7_answers_fast(wall_clock_limit):
+    # phi_7 enters the formula as a nested term; expanding it took over 20 s
+    with wall_clock_limit(2):
+        r = run("formula", "emit-nu", "--p", "2", "--n", "7")
+    assert r.returncode == 0, r.stderr
+    json.loads(r.stdout)
+
+
 def test_field_with_a_large_constant_term_finishes_fast():
     # 10^30 + 1: a divisor scan of the constant term would need 10^15 steps
     r = run("field", "--field", "X^2-1000000000000000000000000000001", timeout=2.0)

@@ -15,7 +15,7 @@ from prime_scope.closure import (
 )
 from prime_scope.errors import NonMonic, NoRoot, Unsupported
 from prime_scope.ffield import ff_is_square
-from prime_scope.numberfield import KPoly, format_element, nf_create, real_embeddings
+from prime_scope.numberfield import KPoly, format_element, nf_create
 from prime_scope.primes import primes_above, residue, valuation
 from prime_scope.qpoly import QPoly, parse_poly
 
@@ -167,7 +167,7 @@ def test_ramified_prime_search():
 # --- ordering side --------------------------------------------------------------
 
 def test_ordering_odd_degree_always_true():
-    (O,) = real_embeddings(RAT)
+    (O,) = RAT.orderings()
     for a in (-3, 0, 2, 10):
         g = KPoly.from_qpoly(RAT, QPoly([Fraction(-a), Fraction(0), Fraction(0), Fraction(1)]))
         r = has_root_in_closure(O, g)
@@ -175,7 +175,7 @@ def test_ordering_odd_degree_always_true():
 
 
 def test_ordering_depends_on_embedding():
-    neg, pos = real_embeddings(SQRT2)
+    neg, pos = SQRT2.orderings()
     alpha = SQRT2.gen()
     g = KPoly(SQRT2, [-alpha, SQRT2.zero(), SQRT2.one()])  # X^2 - alpha
     assert has_root_in_closure(pos, g).has_root
@@ -184,7 +184,7 @@ def test_ordering_depends_on_embedding():
 
 
 def test_ordering_even_degree_negative():
-    (O,) = real_embeddings(RAT)
+    (O,) = RAT.orderings()
     assert not has_root_in_closure(O, kp(RAT, "X^2+1")).has_root
     assert has_root_in_closure(O, kp(RAT, "X^2-2")).has_root
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
+import prime_scope.formulas as formulas_module
 from prime_scope.errors import FormulaSyntaxError, InverseOfZero, Unsupported
 from prime_scope.ffield import is_irreducible
 from prime_scope.formulas import (
@@ -44,6 +45,8 @@ from prime_scope.primes import (
     valuation,
 )
 from prime_scope.qpoly import QPoly, parse_poly
+
+from test_goldens import CLI_GOLDENS, GOLDEN_DIR, _render
 
 Q = NumberField(parse_poly("X"))
 GAUSS = NumberField(parse_poly("X^2+1"))
@@ -287,6 +290,21 @@ def test_nu_quantifier_count():
         names.append(body.var)
         body = body.body
     assert names == ["x0", "x1", "x2"]
+
+
+def test_nu_never_expands_phi_n(monkeypatch):
+    # emit_nu and prove_nu build phi_n as a nested term, so the nu goldens
+    # hold with the expansion out of reach
+    def expanded(*args):
+        raise AssertionError("phi_n was expanded")
+
+    monkeypatch.setattr(formulas_module, "build_phi_n", expanded)
+    assert print_formula(emit_nu(3, T11, 3)).startswith("(forall y")
+    assert prove_nu(GAUSS, 5, T11, 2).status == "Proven"
+    nu = [(name, argv) for name, argv in CLI_GOLDENS if name.startswith("nu_")]
+    assert len(nu) == 3
+    for name, argv in nu:
+        assert _render(argv).encode() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_nu_rejects_infinite_place():

@@ -1,6 +1,7 @@
 """Source rules checked on the package ASTs: no module imports a private name
-from a sibling, no function re-imports from a sibling its module imports at
-top level, and no assert statement stands in for a self-check."""
+from a sibling, every private module-level function is used in its module,
+no function re-imports from a sibling its module imports at top level, and no
+assert statement stands in for a self-check."""
 
 import ast
 import pathlib
@@ -24,6 +25,26 @@ def test_no_private_names_imported_across_modules():
                 if alias.name.startswith("_")
             ]
     assert not private, private
+
+
+def test_every_private_function_is_used_in_its_module():
+    # a private name cannot be imported by a sibling (see above), so one that
+    # nothing in its own module refers to, outside its own body, is dead code
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_"):
+                continue
+            used = any(
+                isinstance(node, ast.Name) and node.id == fn.name
+                for other in tree.body
+                if other is not fn
+                for node in ast.walk(other)
+            )
+            if not used:
+                unused.append(f"{path.name}:{fn.lineno} {fn.name}")
+    assert not unused, unused
 
 
 def _sibling(node):

@@ -17,10 +17,8 @@ from prime_scope.numberfield import (
     format_element,
     nf_create,
     parse_element,
-    real_embeddings,
-    sign_at,
 )
-from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height
+from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height, sturm_sequence, variations
 from prime_scope.suite import FIELD_CORPUS
 
 from oracles import oracle_distinct_real_root_count, oracle_is_irreducible_over_q
@@ -191,46 +189,117 @@ def test_element_literals_roundtrip():
 # --- orderings ---------------------------------------------------------------
 
 def test_real_embedding_counts():
-    assert len(real_embeddings(nf_create("X^2-2"))) == 2
-    assert len(real_embeddings(nf_create("X^2+1"))) == 0
-    assert len(real_embeddings(nf_create("X"))) == 1
-    assert len(real_embeddings(nf_create("X^3-2"))) == 1
-    assert len(real_embeddings(nf_create("X^4-10*X^2+1"))) == 4
+    assert len(nf_create("X^2-2").orderings()) == 2
+    assert len(nf_create("X^2+1").orderings()) == 0
+    assert len(nf_create("X").orderings()) == 1
+    assert len(nf_create("X^3-2").orderings()) == 1
+    assert len(nf_create("X^4-10*X^2+1").orderings()) == 4
 
 
 def test_sign_at_sqrt2():
     K = nf_create("X^2-2")
-    negs, poss = real_embeddings(K)
+    negs, poss = K.orderings()
     alpha = K.gen()
     # orderings sorted by root: first sends alpha to -sqrt2
-    assert sign_at(negs, alpha) == -1
-    assert sign_at(poss, alpha) == 1
+    assert negs.sign(alpha) == -1
+    assert poss.sign(alpha) == 1
     # 2 - alpha is positive in both (|sqrt2| < 2)
     two_minus = K.rational(2) - alpha
-    assert sign_at(negs, two_minus) == 1
-    assert sign_at(poss, two_minus) == 1
-    assert sign_at(poss, K.zero()) == 0
+    assert negs.sign(two_minus) == 1
+    assert poss.sign(two_minus) == 1
+    assert poss.sign(K.zero()) == 0
 
 
 def test_sign_at_close_call():
-    # 99/70 is a convergent of sqrt2: alpha - 99/70 is tiny but has a sign
+    # 99/70 and 577/408 are convergents of sqrt2: alpha - r is tiny but has a sign
     K = nf_create("X^2-2")
-    _, pos = real_embeddings(K)
-    x = K.gen() - K.rational(Fraction(99, 70))
-    assert sign_at(pos, x) == -1
-    assert sign_at(pos, -x) == 1
+    _, pos = K.orderings()
+    for r in (Fraction(99, 70), Fraction(577, 408)):
+        x = K.gen() - K.rational(r)
+        assert pos.sign(x) == -1
+        assert pos.sign(-x) == 1
 
 
 def test_sign_consistency_with_square():
     K = nf_create("X^3-2")
-    (P,) = real_embeddings(K)
+    (P,) = K.orderings()
     rng = random.Random(11)
     for _ in range(40):
         x = K.element([rng.randint(-5, 5) for _ in range(3)])
         if x.is_zero:
             continue
-        assert sign_at(P, x * x) == 1
-        assert sign_at(P, x) * sign_at(P, -x) == -1
+        assert P.sign(x * x) == 1
+        assert P.sign(x) * P.sign(-x) == -1
+
+
+# the Swinnerton-Dyer polynomial of sqrt2 + sqrt3 + sqrt5: eight real roots
+SWINNERTON_DYER_8 = "X^8-40*X^6+352*X^4-960*X^2+576"
+
+
+def _refined_sign(O, x):
+    """The sign of x at O by interval refinement, kept as the reference:
+    halve a copy of O's interval until the Sturm chain of x's polynomial sees
+    no root in it or at its ends, then read the sign at an end."""
+    g, f = x.as_qpoly(), O.field.poly
+    if g.degree < 1:
+        return (g.coeff(0) > 0) - (g.coeff(0) < 0)
+    seq = sturm_sequence(g, g.derivative())
+    lo, hi = O.interval
+    while g(lo) == 0 or g(hi) == 0 or variations(seq, lo) != variations(seq, hi):
+        mid = (lo + hi) / 2
+        while f(mid) == 0:
+            mid = (lo + mid) / 2
+        lo, hi = (lo, mid) if f.sign_at(lo) * f.sign_at(mid) < 0 else (mid, hi)
+    return g.sign_at(lo)
+
+
+def _root_within(O, eps):
+    """A rational within eps of the root of O, by exact bisection."""
+    f = O.field.poly
+    lo, hi = O.interval
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        if f(mid) == 0:
+            return mid
+        lo, hi = (lo, mid) if f.sign_at(lo) * f.sign_at(mid) < 0 else (mid, hi)
+    return lo
+
+
+# near-root elements pinned per field: the convergents 99/70 and 577/408 of
+# sqrt2, and cbrt(2)^2 - 1587/1000 (cbrt(2)^2 = 1.5874...)
+NEAR_ROOTS = {
+    "X^2-2": [[Fraction(-99, 70), 1], [Fraction(-577, 408), 1]],
+    "X^3-2": [[Fraction(-1587, 1000), 0, 1]],
+}
+
+
+def test_sign_agrees_with_interval_refinement():
+    rng = random.Random(1729)
+    disagreements, checked = [], 0
+    for text in FIELD_CORPUS + [SWINNERTON_DYER_8]:
+        K = nf_create(text)
+        a = K.gen()
+        for O in K.orderings():
+            interval = lo, hi = O.interval
+            root = _root_within(O, Fraction(1, 2**40))
+            xs = [K.element(c) for c in NEAR_ROOTS.get(text, [])]
+            # gen - r with r inside the interval, and just beside the root
+            xs += [a - (lo + (hi - lo) * Fraction(k, 8)) for k in range(1, 8)]
+            xs += [a - root - Fraction(s, 2**k) for k in (8, 20, 32) for s in (1, -1)]
+            # y^2 - q with q the value of y^2 rounded to 1, 3 and 6 digits;
+            # fewer draws at degree 8, where the reference is slow
+            for _ in range(12 if K.degree < 8 else 4):
+                y = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)])
+                value = (y * y).as_qpoly()(root)
+                xs += [y, -y]
+                xs += [y * y - Fraction(round(value * 10**k), 10**k) for k in (1, 3, 6)]
+            for x in xs:
+                checked += 1
+                if O.sign(x) != _refined_sign(O, x):
+                    disagreements.append((K, O.index, x))
+            assert O.interval == interval
+    assert checked > 1400
+    assert not disagreements
 
 
 # --- KPoly -------------------------------------------------------------------
@@ -275,7 +344,7 @@ def test_kpoly_resultant_agrees_with_rational_resultant():
 
 def test_kpoly_root_count_in_ordering():
     K = nf_create("X^2-2")
-    neg, pos = real_embeddings(K)
+    neg, pos = K.orderings()
     alpha = K.gen()
     # Y^2 - alpha: root in the real closure iff alpha > 0 there
     f = KPoly(K, [-alpha, K.zero(), K.one()])
@@ -291,14 +360,14 @@ def test_kpoly_root_count_with_repeated_roots_matches_sympy():
     want = oracle_distinct_real_root_count(rational.coeffs)
     for K in (nf_create("X"), nf_create("X^2-2")):
         g = KPoly.from_qpoly(K, rational)
-        for P in real_embeddings(K):
+        for P in K.orderings():
             assert g.count_roots_in_ordering(P, None, None) == want
     K = nf_create("X^2-2")
     a, one = K.gen(), K.one()
     lin = KPoly(K, [-a, one])
     quad = KPoly(K, [-a, K.zero(), one])
     g = KPoly(K, [-one]) * lin * lin * quad * quad * quad
-    for P, root2 in zip(real_embeddings(K), (-sympy.sqrt(2), sympy.sqrt(2))):
+    for P, root2 in zip(K.orderings(), (-sympy.sqrt(2), sympy.sqrt(2))):
         image = [c.coords[0] + c.coords[1] * root2 for c in g.coeffs]
         want = oracle_distinct_real_root_count(image)
         assert want == (1 if root2 < 0 else 3)

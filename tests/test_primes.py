@@ -6,12 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+import prime_scope.ffield as ffield_module
 import prime_scope.primes as primes_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
-from prime_scope.ffield import ff_is_square, ffield_order, fmul, fred, is_prime
+from prime_scope.ffield import (
+    ff_is_square,
+    ffield_order,
+    fmul,
+    fred,
+    is_prime,
+    poly_factor_mod_p,
+    reduce_qpoly_mod_p,
+)
 from prime_scope.formulas import rootless_poly
 from prime_scope.localdata import dedekind_applies, lift_block_factorization, vp_fraction, vp_int
-from prime_scope.numberfield import elements_by_height, nf_create, real_embeddings, square_root
+from prime_scope.numberfield import elements_by_height, nf_create, square_root
 from prime_scope.primes import (
     INFINITE_PLACE,
     PrimeType,
@@ -68,7 +77,7 @@ def test_index_divisible_raises():
 def test_prime_json_shape():
     P = primes_above(GAUSS, 5)[0]
     assert P.to_json() == {"kind": "p-adic", "p": 5, "e": 1, "f": 1, "index": 0}
-    O = real_embeddings(SQRT2)[0]
+    O = SQRT2.orderings()[0]
     j = O.to_json()
     assert j["kind"] == "ordering" and j["index"] == 0 and len(j["interval"]) == 2
 
@@ -250,7 +259,7 @@ def test_in_ring_examples():
     assert not in_ring(P5, RAT.rational(Fraction(1, 5)))
     assert in_ring(P5, RAT.one())
     assert in_ring(P5, RAT.zero())
-    neg, pos = real_embeddings(SQRT2)
+    neg, pos = SQRT2.orderings()
     assert in_ring(pos, SQRT2.gen())
     assert not in_ring(neg, SQRT2.gen())
 
@@ -290,7 +299,7 @@ def test_chi_member_examples():
 
 
 def test_chi_member_ordering_always_true():
-    O = real_embeddings(RAT)[0]
+    O = RAT.orderings()[0]
     assert chi_member(O, PrimeType(3, 4), RAT.zero(), RAT.zero())
 
 
@@ -359,7 +368,7 @@ def _certified_nonsquare(K, d):
     if K.degree == 1:
         q = d.as_fraction()
         return q < 0 or any(math.isqrt(k) ** 2 != k for k in (q.numerator, q.denominator))
-    if any(O.sign(d) < 0 for O in real_embeddings(K)):
+    if any(O.sign(d) < 0 for O in K.orderings()):
         return True
     for ell in filter(is_prime, range(3, 100)):
         try:
@@ -399,6 +408,11 @@ def test_quadratic_step_matches_the_certificate_walk(K, p, constraints):
 
 # --- Hensel block lifts and Dedekind's criterion ---------------------------
 
+def _factors_mod(K, p):
+    """The factorization of K's polynomial mod p as (hbar, e) pairs."""
+    return [(reduce_qpoly_mod_p(h, p), e) for h, e in poly_factor_mod_p(K.poly, p)]
+
+
 @pytest.mark.parametrize("N", [1, 2, 5, 16, 33])
 def test_block_lifts_multiply_back_to_f(N):
     for text in FIELD_CORPUS:
@@ -407,7 +421,7 @@ def test_block_lifts_multiply_back_to_f(N):
         for p in (2, 3, 5, 7, 11, 13):
             M = p**N
             prod = (1,)
-            for hbar, e, F in lift_block_factorization(K.poly, p, N):
+            for hbar, e, F in lift_block_factorization(K.poly, p, N, _factors_mod(K, p)):
                 prod = fmul(prod, F, M)
                 power = (1,)
                 for _ in range(e):
@@ -417,8 +431,7 @@ def test_block_lifts_multiply_back_to_f(N):
 
 
 def _dedekind(K, p):
-    factors = [(hbar, e) for hbar, e, _ in lift_block_factorization(K.poly, p, 1)]
-    return dedekind_applies(K.poly, p, factors)
+    return dedekind_applies(K.poly, p, _factors_mod(K, p))
 
 
 def test_dedekind_applies_pinned():
@@ -443,9 +456,9 @@ def _counted_lifts(monkeypatch) -> list[int]:
     lift = primes_module.lift_block_factorization
     precisions = []
 
-    def counted(f, p, N):
+    def counted(f, p, N, factors):
         precisions.append(N)
-        return lift(f, p, N)
+        return lift(f, p, N, factors)
 
     monkeypatch.setattr(primes_module, "lift_block_factorization", counted)
     return precisions
@@ -458,7 +471,25 @@ def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
     precisions = _counted_lifts(monkeypatch)
     blocks = [P.block(32) for P in primes]
     assert precisions == [32]
-    assert blocks == [F for _, _, F in lift_block_factorization(K.poly, 31, 32)]
+    assert blocks == [F for _, _, F in lift_block_factorization(K.poly, 31, 32, _factors_mod(K, 31))]
+
+
+def test_block_lifts_reuse_the_factorization_of_the_split(monkeypatch):
+    K = nf_create("X^2+1")  # a fresh field: no prime of it is cached
+    factorizations = []
+    factor = ffield_module.factor_fpoly
+
+    def counted(a, p):
+        factorizations.append(p)
+        return factor(a, p)
+
+    monkeypatch.setattr(ffield_module, "factor_fpoly", counted)
+    primes = primes_above(K, 5)
+    assert factorizations == [5]
+    for N in (16, 32):
+        blocks = [P.block(N) for P in primes]
+        assert fmul(*blocks, 5**N) == (1, 0, 1)
+    assert factorizations == [5]
 
 
 def test_splitting_and_rational_valuations_make_no_lift(monkeypatch):
