@@ -233,7 +233,7 @@ def _h_dense_weak(args, config):
         P = pool[_checked_index(int(idx), pool, tok)] if idx else pool[0]
         parts.append(([P], P.uniformizer ** int(val)))
         requested.append((place, P, int(val)))
-    x = weak_approx_value(K, parts, config)
+    x = weak_approx_value(K, parts)
     vals = {place: _val_json(valuation(P, x)) for place, P, _ in requested}
     return 0, {"value": format_element(x), "valuations": vals}, None
 
@@ -242,7 +242,7 @@ def _h_dense_zgroup(args, config):
     K = nf_create(args.field)
     tau = PrimeType(args.taue, args.tauf)
     y = parse_element(K, args.y)
-    xs = zgroup_witness(K, args.p, tau, args.n, y, config)
+    xs = zgroup_witness(K, args.p, tau, args.n, y)
     return 0, {"xs": [format_element(x) for x in xs]}, None
 
 
@@ -305,7 +305,7 @@ def _h_squares_s6(args, config):
     P = _place(K, args.p, args.index)
     g = KPoly.from_qpoly(K, parse_poly(args.poly))
     eps = parse_element(K, args.eps)
-    r = no_short_representation_check(P, g, eps, args.s, config.height_bound, config)
+    r = no_short_representation_check(P, g, eps, args.s, config.height_bound)
     return 0, r.to_json(), None
 
 

@@ -264,7 +264,7 @@ def _nearest_multiple_reduce(x: FieldElement, M: int) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-def weak_approx_value(K: NumberField, parts, config: Config = DEFAULT) -> FieldElement:
+def weak_approx_value(K: NumberField, parts) -> FieldElement:
     """z in K^x with v_P(z) = v_P(z_i) for every P in S_i, all parts (S_i, z_i).
 
     All primes must be p-adic above one rational prime and the S_i pairwise
@@ -498,7 +498,7 @@ def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DE
 # ---------------------------------------------------------------------------
 
 
-def zgroup_witness(K: NumberField, p: int, tau, n: int, y: FieldElement, config: Config = DEFAULT):
+def zgroup_witness(K: NumberField, p: int, tau, n: int, y: FieldElement):
     """(x_0, ..., x_{n-1}) with v_P(y^(e!) p^i x_i^n) >= 0 for every prime P of
     exact type tau above p, with equality for some i at each P.
 
@@ -524,7 +524,7 @@ def zgroup_witness(K: NumberField, p: int, tau, n: int, y: FieldElement, config:
         for P in S:
             L = math.ceil(Fraction(-efact * vy[P] - i * e, n))
             parts.append(([P], P.uniformizer**L))
-        xs.append(weak_approx_value(K, parts, config))
+        xs.append(weak_approx_value(K, parts))
 
     t_p = K.rational(p)
     for P in S:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .config import DEFAULT, Config
+from .config import DEFAULT
 from .errors import FormulaSyntaxError, InverseOfZero, Unsupported
 from .ffield import is_irreducible, is_prime
 from .numberfield import RAT_RE, FieldElement, NumberField, elements_by_height, format_element
@@ -595,7 +595,7 @@ def eval_bounded(
     return rec(phi, {})
 
 
-def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int, config: Config = DEFAULT) -> EvalVerdict:
+def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int) -> EvalVerdict:
     """Sound discharge of the nu sentence over K.
 
     The inner matrix R^x(phi_n(...)) depends on y only through the valuations
@@ -628,8 +628,8 @@ def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int, config: Config = DE
 
     for pat in patterns(len(S_eq)):
         parts = [([P], P.uniformizer ** j) for P, j in zip(S_eq, pat)]
-        y = weak_approx_value(K, parts, config)
-        witness = zgroup_witness(K, p, tau, n, y, config)
+        y = weak_approx_value(K, parts)
+        witness = zgroup_witness(K, p, tau, n, y)
         env = {"y": TConst(y)}
         for name, x in zip(xs, witness):
             env[name] = TConst(x)

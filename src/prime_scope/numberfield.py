@@ -314,12 +314,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.field.poly.coeffs, self.coords))
 
-    def norm(self) -> Fraction:
-        """Field norm N(x) = prod of conjugates = Res(f, rep of x)."""
-        if self.is_zero:
-            return Fraction(0)
-        return self.field.poly.resultant(self.as_qpoly())
-
     def __repr__(self):
         return format_element(self)
 

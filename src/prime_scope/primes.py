@@ -3,9 +3,9 @@ residue maps, uniformizers, holomorphy-domain membership, the (e, f)-type
 classification test, and the quadratic tower step search.
 
 A "prime" is either an Ordering (from numberfield) or a PValuation built
-here.  Valuations are computed through resultants against Hensel-lifted
-local factors, with the working precision raised until the answer is provably
-exact; no p-adic rounding ever happens.
+here.  Valuations are read off coordinates modulo the Hensel-lifted local
+factor, with the working precision raised until the answer is provably exact;
+no p-adic rounding ever happens.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .ffield import (
     FFElem,
     fdivmod,
     ff_is_square,
+    fmul,
     fred,
     is_prime,
     poly_factor_mod_p,
@@ -120,27 +121,41 @@ class PValuation:
 
     # --- core operations --------------------------------------------------
     def valuation(self, x: FieldElement, precision_cap: int = DEFAULT.precision_cap):
-        """v(x); +inf for x = 0.  Exact by the stability rule: the resultant
-        of x's primitive part against the block lift mod p^N is congruent to
-        the true (nonzero) resultant mod p^N, so once its p-adic valuation
-        drops below N it is the true valuation; v(x) = e v_p(x) for rational x."""
+        """v(x); +inf for x = 0; v(x) = e v_p(x) for rational x.
+
+        Otherwise x = (g/den) H with H a primitive integer vector, read in
+        A = Z_p[X]/(F_P), the valuation ring of K_P since Dedekind's criterion
+        holds at p.  1, X, ..., X^(m-1) is a Z_p-basis of A and p^j A = P^(ej),
+        so the least p-valuation of the coordinates of z in A is floor(v(z)/e),
+        and by Hermite's identity v(H) is the sum of those minima over
+        z = H t^r, r < e, for the uniformizer t = hbar.  Each minimum, taken
+        mod (F_P, p^N) over the nonzero coordinates, is exact while H t^r is
+        nonzero mod p^N; otherwise N doubles up to the cap."""
         if x.is_zero:
             return math.inf
         if x.is_rational():
             return self.e * vp_fraction(x.as_fraction(), self.p)
-        g = x.as_qpoly()
-        content, prim = g.content_and_primitive()
-        vc = vp_fraction(content, self.p)
-        prim_q = QPoly(prim)
+        p = self.p
+        den = math.lcm(*(c.denominator for c in x.coords))
+        ints = [int(c * den) for c in x.coords]
+        g = math.gcd(*ints)
+        H = [c // g for c in ints]
         N = min(16, precision_cap)
         while True:
-            F = QPoly([Fraction(c) for c in self.block(N)])
-            R = F.resultant(prim_q)
-            if R != 0:
-                vr = vp_int(R.numerator, self.p)
-                if vr < N:
-                    check(vr % self.f == 0, "resultant valuation not a multiple of f")
-                    return self.e * vc + vr // self.f
+            mod = p**N
+            F = self.block(N)
+            z, mins = fred(H, mod), []
+            while len(mins) < self.e:
+                z = fdivmod(fmul(z, self.hbar, mod) if mins else z, F, mod)[1]
+                if not z:
+                    break
+                mins.append(min(vp_int(c, p) for c in z if c))
+            if len(mins) == self.e:
+                check(
+                    all(a <= b for a, b in zip(mins, mins[1:])) and mins[-1] <= mins[0] + 1,
+                    "coordinate minima break Hermite's identity",
+                )
+                return self.e * (vp_int(g, p) - vp_int(den, p)) + sum(mins)
             if N >= precision_cap:
                 raise PrecisionOverflow(f"valuation undecided at precision p^{N}")
             N = min(2 * N, precision_cap)

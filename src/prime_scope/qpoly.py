@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormulaSyntaxError, check
@@ -229,20 +229,6 @@ class QPoly:
         res = self.resultant(self.derivative())
         s = -1 if (n * (n - 1) // 2) % 2 else 1
         return s * res / self.lc
-
-    # --- integer forms ------------------------------------------------------
-    def content_and_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Write self = c * A with c in Q (>0 numerator sign of lc kept in A)
-        and A a primitive integer coefficient vector."""
-        if self.is_zero:
-            return Fraction(0), ()
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        return Fraction(g, den), tuple(ints)
 
     # --- real-root machinery -------------------------------------------------
     def sign_at(self, x) -> int:

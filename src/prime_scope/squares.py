@@ -291,8 +291,7 @@ def no_short_representation_check(
     g: KPoly,
     eps: FieldElement,
     s: int,
-    height_bound: int | None = None,
-    config: Config = DEFAULT,
+    height_bound: int = DEFAULT.height_bound,
 ) -> ShortCheckResult:
     """Search for tuples breaking eps^2 = g(x)^2 + y_1^2 + ... + y_{s-1}^2
     having none, under the hypotheses that make that a theorem.
@@ -313,11 +312,10 @@ def no_short_representation_check(
     that are squares at all of them pay for g(x) in K and the exact decision
     of square_root.  A counterexample is re-verified before it is returned.
     """
-    bound = height_bound if height_bound is not None else config.height_bound
     K = P.field
-    if bound < 1:
+    if height_bound < 1:
         raise PreconditionViolated(
-            f"height bound {bound} leaves no x to search", clause="height-bound"
+            f"height bound {height_bound} leaves no x to search", clause="height-bound"
         )
     if getattr(P, "kind", "") != "p-adic":
         raise PreconditionViolated("check runs at a finite prime", clause="p-adic-prime")
@@ -371,14 +369,14 @@ def no_short_representation_check(
             return ShortCheckResult("Certified", None, 0)
         lo = min(a for a, _ in ivs)
         hi = max(b for _, b in ivs)
-        for d in range(1, bound + 1):
+        for d in range(1, height_bound + 1):
             dpow = [1]
             for _ in range(D):
                 dpow.append(dpow[-1] * d)
             base = en * L * dpow[D]
             b2 = base * base
-            n_lo = max(math.ceil(lo * d), -bound)
-            n_hi = min(math.floor(hi * d), bound)
+            n_lo = max(math.ceil(lo * d), -height_bound)
+            n_hi = min(math.floor(hi * d), height_bound)
             for nn in range(n_lo, n_hi + 1):
                 if math.gcd(nn, d) != 1:
                     continue
@@ -403,7 +401,7 @@ def no_short_representation_check(
     # per x suffices
     filters = _residue_filters(K, g, eps)
     for x in elements_by_height(K):
-        if x.height() > bound:
+        if x.height() > height_bound:
             break
         searched += 1
         if _nonsquare_somewhere(x.coords, filters):
@@ -426,7 +424,6 @@ def d_sos_witness(
     K: NumberField,
     g: KPoly,
     eps: FieldElement,
-    height_bound: int | None = None,
     config: Config = DEFAULT,
 ) -> WitnessReport:
     """x with eps^2 - g(x)^2 totally nonnegative, for odd-degree g.
@@ -441,8 +438,6 @@ def d_sos_witness(
         raise PreconditionViolated("g must have odd degree", clause="odd-degree")
     if eps.is_zero:
         raise PreconditionViolated("eps must be nonzero", clause="epsilon-nonzero")
-    bound = height_bound if height_bound is not None else config.height_bound
-    cfg = Config(height_bound=bound, precision_cap=config.precision_cap)
     orderings = K.orderings()
     locals_ = []
     steps = 0
@@ -457,10 +452,10 @@ def d_sos_witness(
         x = locals_[0]
     else:
         balls = [Ball(P, K.zero(), eps) for P in orderings]
-        report = simultaneous_ball(K, balls, locals_, [(g, None)] * len(orderings), cfg)
+        report = simultaneous_ball(K, balls, locals_, [(g, None)] * len(orderings), config)
         x = report.witness
         steps += report.search_stats.get("steps", 0)
     value = eps * eps - g(x) * g(x)
     check(r_infinity_member(K, value), "eps^2 - g(x)^2 is not totally nonnegative")
     verified = [(P, P.sign(value)) for P in orderings]
-    return WitnessReport(x, verified, {"bound": bound, "steps": steps})
+    return WitnessReport(x, verified, {"bound": config.height_bound, "steps": steps})

@@ -178,12 +178,12 @@ def case_zgroup_axioms(config: Config = DEFAULT):
     tau = PrimeType(1, 1)
     for p in (2, 3, 5):
         for n in (1, 2, 3, 4):
-            verdict = prove_nu(Q, p, tau, n, config)
+            verdict = prove_nu(Q, p, tau, n)
             if verdict.status != "Proven":
                 return False, f"nu({p},(1,1),{n}) not proven: {verdict.status}"
     # worked instance: p=5, n=2, y=5 reproduces the unit 31
     y = Q.rational(5)
-    xs = zgroup_witness(Q, 5, tau, 2, y, config)
+    xs = zgroup_witness(Q, 5, tau, 2, y)
     _, phi = build_phi_n(5, 1, 2)
     val = phi([y * xs[0] ** 2, y * Q.rational(5) * xs[1] ** 2])
     P5 = primes_above(Q, 5)[0]
@@ -338,7 +338,7 @@ def case_no_short_and_levels(config: Config = DEFAULT):
     Q = nf_create("X")
     P3 = primes_above(Q, 3)[0]
     r = no_short_representation_check(
-        P3, KPoly.from_qpoly(Q, parse_poly("X^2+1")), Q.rational(3), 2, 1000, config
+        P3, KPoly.from_qpoly(Q, parse_poly("X^2+1")), Q.rational(3), 2, 1000
     )
     if r.status != "Certified":
         return False, f"pinned check not certified: {r.status}"

@@ -76,6 +76,19 @@ def test_valuate_below_the_default_first_precision(index, want):
     assert json.loads(r.stdout)["valuation"] == want
 
 
+@pytest.mark.parametrize("argv,want", [
+    # v(alpha^2) = 2 at the totally ramified 2 of Q(cbrt 2): the coordinate
+    # minima of alpha^2, alpha^3 = 2 and 2 alpha are 0, 1, 1, all below 2
+    (("--precision-cap", "2", "valuate", "--field", "X^3-2", "--p", "2", "--x", "[0, 0, 1]"), 2),
+    (("valuate", "--field", "X^2-2", "--p", "3", "--x", "[3, 9]"), 1),  # f = 2
+    (("--precision-cap", "3", "valuate", "--field", "X^2+1", "--p", "3", "--x", "[9, 27]"), 2),
+])
+def test_valuate_pinned_answers(argv, want):
+    r = run(*argv)
+    assert r.returncode == 0, r.stdout
+    assert json.loads(r.stdout)["valuation"] == want
+
+
 def test_valuate_precision_overflow_names_the_cap():
     r = run("--precision-cap", "1", "valuate", "--field", "X^2+1", "--p", "5",
             "--index", "0", "--x", "[2, 1]")

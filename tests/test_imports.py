@@ -1,7 +1,7 @@
 """Source rules checked on the package ASTs: no module imports a private name
 from a sibling, every private module-level function is used in its module,
-no function re-imports from a sibling its module imports at top level, and no
-assert statement stands in for a self-check."""
+no function re-imports from a sibling its module imports at top level, no
+assert statement stands in for a self-check, and every parameter is read."""
 
 import ast
 import pathlib
@@ -85,3 +85,35 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _shares_a_dispatch_signature(module: str, name: str) -> bool:
+    # CLI handlers take (args, config) and suite cases take (config), whether
+    # or not the one at hand reads them
+    return (module == "cli.py" and name.startswith("_h_")) or (
+        module == "suite.py" and name.startswith("case_")
+    )
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("__") or _shares_a_dispatch_signature(path.name, fn.name):
+                continue
+            a = fn.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{fn.lineno} {fn.name}({name})"
+                for name in params
+                if name not in read and name not in ("self", "cls")
+            ]
+    assert not unread, unread

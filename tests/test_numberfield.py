@@ -170,14 +170,6 @@ def test_generator_satisfies_defining_polynomial():
     assert alpha ** 3 == K.rational(2)
 
 
-def test_norm_multiplicative():
-    K = nf_create("X^2-2")
-    a = K.element([1, 1])
-    b = K.element([3, -2])
-    assert (a * b).norm() == a.norm() * b.norm()
-    assert a.norm() == -1  # N(1 + sqrt2) = 1 - 2
-
-
 def test_element_literals_roundtrip():
     K = nf_create("X^2+1")
     x = K.element([Fraction(1, 2), -3])

@@ -8,6 +8,7 @@ import pytest
 
 import prime_scope.ffield as ffield_module
 import prime_scope.primes as primes_module
+import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
 from prime_scope.ffield import (
     ff_is_square,
@@ -516,14 +517,23 @@ def test_splitting_and_rational_valuations_make_no_lift(monkeypatch):
     assert P2.e == 2 and precisions == [16, 16]
 
 
-def _resultant_path_valuation(P, x) -> int:
-    """v_P(x) through the general path: the content of x's polynomial, and
-    the resultant of its primitive part against the block lift mod p^16."""
-    content, prim = x.as_qpoly().content_and_primitive()
-    R = QPoly([Fraction(c) for c in P.block(16)]).resultant(QPoly(prim))
-    vr = vp_int(R.numerator, P.p)
-    assert vr < 16 and vr % P.f == 0
-    return P.e * vp_fraction(content, P.p) + vr // P.f
+def _resultant_path_valuation(P, x) -> tuple[int, int]:
+    """v_P(x) through the resultant path, and the precision N it took: the
+    content of x's coordinates, and the resultant over Q of their primitive
+    part against the block lift mod p^N, N doubled from 16 until the
+    resultant's valuation is below N."""
+    den = math.lcm(*(c.denominator for c in x.coords))
+    ints = [int(c * den) for c in x.coords]
+    g = math.gcd(*ints)
+    prim = QPoly([Fraction(c // g) for c in ints])
+    N = 16
+    while True:
+        R = QPoly([Fraction(c) for c in P.block(N)]).resultant(prim)
+        vr = vp_int(R.numerator, P.p) if R else N
+        if vr < N:
+            assert vr % P.f == 0
+            return P.e * (vp_int(g, P.p) - vp_int(den, P.p)) + vr // P.f, N
+        N *= 2
 
 
 def test_rational_valuations_agree_with_the_resultant_path():
@@ -541,7 +551,53 @@ def test_rational_valuations_agree_with_the_resultant_path():
                 den = p ** rng.randint(0, 40) * rng.randint(1, 10**6)
                 x = K.rational(Fraction(num, den))
                 for P in primes:
-                    assert P.valuation(x) == _resultant_path_valuation(P, x), (text, p, x)
+                    assert P.valuation(x) == _resultant_path_valuation(P, x)[0], (text, p, x)
                     if P.e > 1:
                         ramified.add((text, p))
     assert {("X^2+1", 2), ("X^3-2", 2), ("X^3-2", 3)} <= ramified
+
+
+def test_valuations_agree_with_the_resultant_path():
+    # elements scaled by powers of hbar(alpha) and of p, so that some need
+    # the resultant path to escalate past p^16
+    rng = random.Random(1915)
+    seen_e, seen_f, reached = set(), set(), 16
+    for text in FIELD_CORPUS[1:] + ["X^4-2X^2+9", "X^3-X^2-2X+1", "X^4+1", "X^6+X^3+1"]:
+        K = nf_create(text)
+        for p in (2, 3, 5, 7, 11, 13):
+            try:
+                primes = primes_above(K, p)
+            except IndexDivisible:
+                continue
+            for _ in range(4):
+                base = K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)])
+                t = K.element(rng.choice(primes).hbar)  # 0 at an inert prime
+                x = base * t ** rng.randint(0, 40) * K.rational(Fraction(p) ** rng.randint(-5, 20))
+                if x.is_rational():
+                    continue
+                for P in primes:
+                    want, N = _resultant_path_valuation(P, x)
+                    assert P.valuation(x) == want, (text, p, P.index, x)
+                    seen_e.add(P.e)
+                    seen_f.add(P.f)
+                    reached = max(reached, N)
+    assert max(seen_e) >= 3 and max(seen_f) >= 2 and reached >= 32
+
+
+def test_valuation_takes_no_resultant(monkeypatch):
+    fields = {text: nf_create(text) for text in ("X^2+1", "X^3-2")}
+    cases = [
+        (fields["X^2+1"], 5, [([2, 1], [1, 0]), ([1, 1], [0, 0])]),  # e = 1
+        (fields["X^2+1"], 2, [([1, 1], [1]), ([3, 1], [1]), ([2, 2], [3])]),  # e = 2
+        (fields["X^3-2"], 2, [([0, 1], [1]), ([0, 0, 1], [2]), ([2, 0, 1], [2])]),  # e = 3
+    ]
+    primes = {(K, p): primes_above(K, p) for K, p, _ in cases}
+
+    def refuse(f, g):
+        raise AssertionError("valuation took a resultant")
+
+    monkeypatch.setattr(qpoly_module, "poly_resultant", refuse)
+    for K, p, pinned in cases:
+        for coords, want in pinned:
+            x = K.element(coords)
+            assert [P.valuation(x) for P in primes[(K, p)]] == want, (K, p, coords)
