@@ -12,13 +12,20 @@ its elements are coefficient tuples of length f; the residue field at a prime
 P of a number field is F_p[X]/(hbar_P) in exactly this form, and
 ``irreducible_poly`` gives a canonical modulus of each degree.
 
+``fpowmod`` runs each square-and-multiply step as one fused product and
+reduction by the monic form of its modulus, on plain ints, reducing each
+coefficient mod p once; Frobenius powers X^(p^d) are the factorizer's main
+cost.
+
 Factorization is squarefree split + distinct-degree + equal-degree
-(Cantor-Zassenhaus), with the equal-degree randomness drawn from a PRNG
+(Cantor-Zassenhaus); a polynomial coprime to its derivative goes straight to
+the distinct-degree split.  The equal-degree randomness is drawn from a PRNG
 seeded deterministically from the input polynomial and p, so results never
-depend on run order.  ``hensel_lift`` lifts a factorization into pairwise
-coprime factors mod p to one mod p^N by quadratic steps, reverifying the
-product and Bezout identities at each step; it serves both the block lifts
-at a prime of a number field and the irreducibility certificate over Q.
+depend on run order, and made only when an equal-degree split runs.
+``hensel_lift`` lifts a factorization into pairwise coprime factors mod p to
+one mod p^N by quadratic steps, reverifying the product and Bezout
+identities at each step; it serves both the block lifts at a prime of a
+number field and the irreducibility certificate over Q.
 """
 
 from __future__ import annotations
@@ -118,19 +125,19 @@ def fscale(a: FPoly, c: int, m: int) -> FPoly:
 def fdivmod(a: FPoly, b: FPoly, m: int) -> tuple[FPoly, FPoly]:
     if not b:
         raise ZeroDivisionError
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
     inv = pow(b[-1], -1, m)
+    low = b[:-1]
     rem = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        k = len(rem) - len(b)
-        f = rem[-1] * inv % m
-        q[k] = f
-        for i, v in enumerate(b):
-            rem[k + i] = (rem[k + i] - f * v) % m
-        rem.pop()
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - db - 1, -1, -1):
+        f = rem.pop() * inv % m  # b's top term cancels the popped coefficient
+        if f:
+            q[k] = f
+            for i, v in enumerate(low, k):
+                rem[i] = (rem[i] - f * v) % m
     return ftrim(q), ftrim(rem)
 
 
@@ -231,14 +238,35 @@ def hensel_lift(f: Sequence[int], factors: Sequence[FPoly], p: int, N: int) -> l
     return out
 
 
+def _fmulmod_monic(x: FPoly, y: FPoly, neg: list[int], p: int) -> FPoly:
+    """x*y mod (m, p) for monic m of degree n = len(neg), neg = [-m_0, ...,
+    -m_{n-1}]: the product is formed on plain ints, its top folded down by
+    X^n = neg_0 + ... + neg_{n-1} X^{n-1}, and each coefficient left is
+    reduced mod p once."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y, i):
+                out[j] += xi * yj
+    for k in range(len(out) - len(neg) - 1, -1, -1):
+        c = out.pop() % p
+        if c:
+            for i, v in enumerate(neg, k):
+                out[i] += c * v
+    return ftrim([c % p for c in out])
+
+
 def fpowmod(a: FPoly, e: int, m: FPoly, p: int) -> FPoly:
+    """a^e mod (m, p); a non-monic m leaves the same remainders as fmonic(m)."""
     result: FPoly = (1,)
     a = fmod(a, m, p)
+    neg = [-c for c in fmonic(m, p)[:-1]]
     while e:
         if e & 1:
-            result = fmod(fmul(result, a, p), m, p)
-        a = fmod(fmul(a, a, p), m, p)
+            result = _fmulmod_monic(result, a, neg, p)
         e >>= 1
+        if e:
+            a = _fmulmod_monic(a, a, neg, p)
     return result
 
 
@@ -345,7 +373,8 @@ def factor_fpoly(a: FPoly, p: int) -> list[tuple[FPoly, int]]:
     irreducibles with multiplicities, canonically sorted."""
     if not a:
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(_edf_seed(a, p))
+    seed = _edf_seed(a, p)
+    rng = None  # seeded on the first equal-degree split that needs it
     a = fmonic(a, p)
     factors: dict[FPoly, int] = {}
 
@@ -362,13 +391,17 @@ def factor_fpoly(a: FPoly, p: int) -> list[tuple[FPoly, int]]:
             squarefree_split(h, outer_mult * p)
             return
         s = fgcd(g, dg, p)
+        if s == (1,):
+            for f in _distinct_degree(g, p):
+                add(f, outer_mult)
+            return
         w = fdivmod(g, s, p)[0]  # each factor of multiplicity not divisible by p, once
         i = 1
         while w != (1,):
             y = fgcd(w, s, p)
             band = fdivmod(w, y, p)[0]  # factors of exact multiplicity i
             if len(band) - 1 >= 1:
-                for f in _distinct_degree(band, p, rng):
+                for f in _distinct_degree(band, p):
                     add(f, i * outer_mult)
             s = fdivmod(s, y, p)[0]
             w = y
@@ -377,7 +410,8 @@ def factor_fpoly(a: FPoly, p: int) -> list[tuple[FPoly, int]]:
         if len(s) - 1 >= 1:
             squarefree_split(s, outer_mult)
 
-    def _distinct_degree(g: FPoly, p: int, rng) -> list[FPoly]:
+    def _distinct_degree(g: FPoly, p: int) -> list[FPoly]:
+        nonlocal rng
         out = []
         x: FPoly = (0, 1)
         frob = x
@@ -386,6 +420,8 @@ def factor_fpoly(a: FPoly, p: int) -> list[tuple[FPoly, int]]:
             frob = fpowmod(frob, p, g, p)
             h = fgcd(fsub(frob, x, p), g, p)
             if h != (1,):
+                if rng is None and len(h) - 1 > d:
+                    rng = random.Random(seed)
                 out.extend(_equal_degree_split(h, d, p, rng))
                 g = fdivmod(g, h, p)[0]
                 frob = fmod(frob, g, p)

@@ -66,11 +66,16 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
     """True when p does not divide [O_K : Z[alpha]] for K = Q[X]/(f), given
     the factorization fbar = prod hbar_i^{e_i} mod p as (hbar_i, e_i) pairs.
 
+    When every e_i = 1, fbar is squarefree, so p does not divide disc(f) =
+    [O_K : Z[alpha]]^2 * disc(O_K) and the answer is True with no work.
+
     Criterion: with g = prod h_i (monic lifts),
     h = a monic lift of fbar/gbar, and T = (g*h - f)/p over Z, the reduction
     works iff gcd(Tbar, gbar, hbar/gbar-part) = 1 in F_p[X].  Concretely we
     test gcd(Tbar, gbar, fbar/gbar) = 1.  Tbar only needs g*h - f mod p^2,
     with g, h lifted by their coefficients in [0, p)."""
+    if all(e == 1 for _h, e in factors):
+        return True
     f_ints = _as_ints(f)
     gbar = (1,)
     for h, _e in factors:

@@ -79,25 +79,33 @@ def certify_irreducible(f: QPoly) -> None:
     """Raise Reducible (with a witness in the detail) or return silently when
     f is irreducible over Q; complete for every degree.
 
-    After the squarefree check, the integral monic form fz of f is factored
-    mod the primes p = 2, 3, 5, ... at which it stays squarefree; one
-    irreducible reduction proves fz irreducible.  Otherwise the factors mod
-    the good prime with the fewest of them, among the first _GOOD_PRIMES, are
-    Hensel-lifted to p^N > 2 * (Mignotte bound), so every monic integer
-    factor of fz is, in symmetric residues, the product of a subset of the
-    lifts; the subsets of at most half of them are tried by exact division
-    (Zassenhaus; Cohen, GTM 138, section 3.5).
+    The integral monic form fz of f is factored mod the primes p = 2, 3,
+    5, ... at which it stays squarefree; one irreducible reduction proves fz
+    irreducible.  Otherwise the factors mod the good prime with the fewest of
+    them, among the first _GOOD_PRIMES, are Hensel-lifted to p^N > 2 *
+    (Mignotte bound), so every monic integer factor of fz is, in symmetric
+    residues, the product of a subset of the lifts; the subsets of at most
+    half of them are tried by exact division (Zassenhaus; Cohen, GTM 138,
+    section 3.5).
+
+    A squarefree reduction mod any p already proves f squarefree over Q (a
+    repeated factor of f stays one of fz mod every p), so the rational
+    gcd(f, f') runs only after _GOOD_PRIMES reductions with repeated factors:
+    it either raises Reducible or shows that only the finitely many p | disc
+    are left to skip.
     """
     if f.degree == 1:
         return
-    g = f.gcd(f.derivative())
-    if g.degree >= 1:
-        raise Reducible(f"repeated factor: {format_poly(g)}")
     fz, m = _integer_monic_form(f)
-    candidates = []
+    candidates, repeated = [], 0
     for p in filter(is_prime, count(2)):
         factors = factor_fpoly(reduce_qpoly_mod_p(fz, p), p)
         if any(e > 1 for _, e in factors):
+            repeated += 1
+            if repeated == _GOOD_PRIMES:
+                g = f.gcd(f.derivative())
+                if g.degree >= 1:
+                    raise Reducible(f"repeated factor: {format_poly(g)}")
             continue
         if len(factors) == 1:
             return

@@ -27,11 +27,11 @@ from .ffield import (
     FF,
     FFElem,
     fdivmod,
+    factor_fpoly,
     ff_is_square,
     fmul,
     fred,
     is_prime,
-    poly_factor_mod_p,
     reduce_qpoly_mod_p,
 )
 from .localdata import (
@@ -239,7 +239,7 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
         return list(K._prime_cache[p])
     if any(c.denominator != 1 for c in K.poly.coeffs):
         raise Unsupported("prime splitting requires an integral defining polynomial")
-    factors = [(reduce_qpoly_mod_p(h, p), e) for h, e in poly_factor_mod_p(K.poly, p)]
+    factors = factor_fpoly(reduce_qpoly_mod_p(K.poly, p), p)
     if not dedekind_applies(K.poly, p, factors):
         raise IndexDivisible(f"p = {p} divides the index for this field")
     lifts: dict = {}

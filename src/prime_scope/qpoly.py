@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FormulaSyntaxError, check
@@ -232,7 +232,16 @@ class QPoly:
 
     # --- real-root machinery -------------------------------------------------
     def sign_at(self, x) -> int:
-        v = self(Fraction(x))
+        """The sign of self(a/b), b > 0, from the integer Horner sum
+        sum_i c_i L a^i b^(n-i) = L b^n self(a/b), L the positive lcm of the
+        coefficient denominators."""
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        L = lcm(*[c.denominator for c in self.coeffs])
+        v, bk = 0, 1
+        for c in reversed(self.coeffs):
+            v = v * a + c.numerator * (L // c.denominator) * bk
+            bk *= b
         return (v > 0) - (v < 0)
 
     def root_bound(self) -> Fraction:
@@ -263,7 +272,7 @@ class QPoly:
             if n <= 1:
                 continue
             mid = (lo + hi) / 2
-            while self(mid) == 0:
+            while self.sign_at(mid) == 0:
                 mid = (lo + mid) / 2  # nudge off the root, stay inside
             nl = variations(seq, lo) - variations(seq, mid)
             stack.append((mid, hi, n - nl))

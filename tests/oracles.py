@@ -136,3 +136,23 @@ def oracle_padic_root_exists(int_coeffs_ascending, p) -> bool:
 def oracle_four_square_check(q, parts) -> bool:
     q = Fraction(q)
     return sum(Fraction(t) ** 2 for t in parts) == q and len(parts) <= 4
+
+
+def oracle_dedekind_applies(int_coeffs_ascending, p) -> bool:
+    """Dedekind's criterion in full, with sympy's factorization mod p:
+    for fbar = prod tbar_i^{e_i}, lifts t_i with coefficients in [0, p) and
+    F = (f - prod t_i^{e_i}) / p over Z, p does not divide [O_K : Z[alpha]]
+    iff no tbar_i with e_i >= 2 divides Fbar (Cohen, GTM 138, 6.1.4, where
+    gcd(gbar, fbar/gbar) is the product of those tbar_i)."""
+    f = sym_poly(int_coeffs_ascending)
+    G = Poly(1, X)
+    lifts = []
+    for coeffs, e in oracle_factor_mod_p(int_coeffs_ascending, p):
+        t = sym_poly(coeffs)
+        lifts.append((t, e))
+        G *= t**e
+    F = Poly((f - G).as_expr() / p, X)
+    Fbar = Poly(F.as_expr(), X, modulus=p)
+    return all(
+        not Fbar.rem(Poly(t.as_expr(), X, modulus=p)).is_zero for t, e in lifts if e >= 2
+    )

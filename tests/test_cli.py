@@ -305,8 +305,8 @@ def test_self_checks_survive_python_O():
         "else:\n"
         "    print('lifted')\n"
         "from prime_scope import primes\n"
-        "factor = primes.poly_factor_mod_p\n"
-        "primes.poly_factor_mod_p = lambda f, p: factor(f, p)[:-1]\n"
+        "factor = primes.factor_fpoly\n"
+        "primes.factor_fpoly = lambda a, p: factor(a, p)[:-1]\n"
         "try:\n"
         "    primes.primes_above(nf_create('X^2+1'), 5)\n"
         "except InvariantViolated as exc:\n"

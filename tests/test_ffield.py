@@ -15,7 +15,9 @@ from prime_scope.ffield import (
     fdivmod,
     ff_is_square,
     ffield_order,
+    fmod,
     fmul,
+    fpowmod,
     fred,
     irreducible_poly,
     is_prime,
@@ -82,6 +84,45 @@ def test_factor_matches_sympy_oracle():
             for f, m in poly_factor_mod_p(QPoly(coeffs), p)
         ]
         assert mine == oracle_factor_mod_p(coeffs, p)
+
+
+def test_factor_matches_sympy_oracle_with_multiplicities_divisible_by_p():
+    # products of powers whose exponents p | m exercise the deflation branch
+    # of the squarefree split, and m = p + 1 mixes it with Yun's bands
+    rng = random.Random(4242)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        a = (1,)
+        for _ in range(rng.randint(1, 3)):
+            h = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3))) + (1,)
+            for _ in range(rng.choice([1, p, 2 * p, p + 1, p * p])):
+                a = fmul(a, h, p)
+        assert factor_fpoly(a, p) == oracle_factor_mod_p(list(a), p), (a, p)
+
+
+def _ladder_powmod(a, e, m, p):
+    """a^e mod (m, p) by square-and-multiply with a separate product and
+    division at every step."""
+    result, a = (1,), fmod(a, m, p)
+    while e:
+        if e & 1:
+            result = fmod(fmul(result, a, p), m, p)
+        a = fmod(fmul(a, a, p), m, p)
+        e >>= 1
+    return result
+
+
+def test_fused_fpowmod_matches_the_product_then_divide_ladder():
+    rng = random.Random(1357)
+    for p in (2, 3, 97):
+        for n in range(1, 7):
+            # over F_2 every modulus is monic
+            for lead in {1, rng.randrange(2, p) if p > 2 else 1}:
+                for _ in range(15):
+                    m = tuple(rng.randrange(p) for _ in range(n)) + (lead,)
+                    a = fred([rng.randrange(p) for _ in range(rng.randint(0, 2 * n))], p)
+                    for e in (0, 1, p, rng.randrange(2, p**n + 2)):
+                        assert fpowmod(a, e, m, p) == _ladder_powmod(a, e, m, p), (a, e, m, p)
 
 
 def test_irreducible_poly_pinned():

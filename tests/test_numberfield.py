@@ -9,7 +9,9 @@ import pytest
 import sympy
 
 import prime_scope.numberfield as numberfield_module
+import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import DivisionByZero, NotMonic, Reducible
+from prime_scope.ffield import factor_fpoly, fred
 from prime_scope.numberfield import (
     FieldElement,
     KPoly,
@@ -51,6 +53,42 @@ def test_nonmonic_is_refused():
 def test_repeated_factor_is_refused():
     with pytest.raises(Reducible):
         nf_create(parse_poly("X^2+2*X+1"))
+
+
+@pytest.mark.parametrize(
+    "f, detail",
+    [
+        (parse_poly("X^2+2X+1"), "repeated factor: 1 + X"),
+        (parse_poly("X^2+1") * parse_poly("X^2+1"), "repeated factor: 1 + X^2"),
+    ],
+)
+def test_repeated_factor_detail_is_pinned(f, detail):
+    with pytest.raises(Reducible) as exc:
+        nf_create(f)
+    assert exc.value.detail == detail
+
+
+def test_squarefree_polynomial_with_bad_small_primes_certifies(monkeypatch):
+    # X^2 - 2310 has repeated factors mod 2, 3, 5, 7 and 11 = the first
+    # _GOOD_PRIMES primes, so the rational gcd(f, f') runs once and finds f
+    # squarefree; the search goes on and stops at 23, where f is irreducible
+    f = parse_poly("X^2-2310")
+    fz = [int(c) for c in f.coeffs]
+    for p in (2, 3, 5, 7, 11):
+        assert any(e > 1 for _, e in factor_fpoly(fred(fz, p), p))
+    assert factor_fpoly(fred(fz, 23), 23) == [(fred(fz, 23), 1)]
+    gcds = []
+    gcd = qpoly_module.poly_gcd
+
+    def counted(a, b):
+        gcds.append(a)
+        return gcd(a, b)
+
+    monkeypatch.setattr(qpoly_module, "poly_gcd", counted)
+    nf_create("X^2+1")  # irreducible mod 3: no rational gcd at all
+    assert gcds == []
+    nf_create(f)
+    assert gcds == [f]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import prime_scope.ffield as ffield_module
 import prime_scope.primes as primes_module
 import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
@@ -21,7 +20,7 @@ from prime_scope.ffield import (
 )
 from prime_scope.formulas import rootless_poly
 from prime_scope.localdata import dedekind_applies, lift_block_factorization, vp_fraction, vp_int
-from prime_scope.numberfield import elements_by_height, nf_create, square_root
+from prime_scope.numberfield import NumberField, elements_by_height, nf_create, square_root
 from prime_scope.primes import (
     INFINITE_PLACE,
     PrimeType,
@@ -34,16 +33,35 @@ from prime_scope.primes import (
     residue,
     valuation,
 )
-from prime_scope.qpoly import QPoly
+from prime_scope.qpoly import QPoly, parse_poly
 from prime_scope.squares import kochen
 from prime_scope.suite import FIELD_CORPUS
+
+from oracles import oracle_dedekind_applies
 
 GAUSS = nf_create("X^2+1")
 RAT = nf_create("X")
 SQRT2 = nf_create("X^2-2")
+PRIMES_BELOW_100 = [p for p in range(2, 100) if is_prime(p)]
 
 
 # --- splitting ---------------------------------------------------------------
+
+def test_cold_splitting_of_the_corpus_stays_fast(wall_clock_limit):
+    # every corpus field, fresh, split at the 25 primes below 100 with its
+    # orderings: 0.09 s with cold finite-field caches on a 2-core x86_64
+    # box with CPython 3.11.7, so 0.4 s is about four times that
+    with wall_clock_limit(0.4):
+        for text in FIELD_CORPUS:
+            K = NumberField(parse_poly(text))
+            for p in PRIMES_BELOW_100:
+                try:
+                    primes = primes_above(K, p)
+                except IndexDivisible:
+                    continue
+                assert sum(P.e * P.f for P in primes) == K.degree, (text, p)
+            K.orderings()
+
 
 def test_gaussian_splitting_table():
     at5 = primes_above(GAUSS, 5)
@@ -442,6 +460,17 @@ def test_dedekind_applies_pinned():
     assert _dedekind(nf_create("X^3-2"), 3)
 
 
+def test_dedekind_applies_agrees_with_the_full_criterion():
+    # the squarefree shortcut (every e_i = 1) and the gcd test both answer
+    # like the textbook criterion, at every prime below 100; the corpus
+    # holds the four pinned cases above
+    for text in FIELD_CORPUS:
+        K = nf_create(text)
+        f = [int(c) for c in K.poly.coeffs]
+        for p in PRIMES_BELOW_100:
+            assert _dedekind(K, p) == oracle_dedekind_applies(f, p), (text, p)
+
+
 @pytest.mark.parametrize("p", [4, 9, 15])
 def test_composite_p_is_rejected(p):
     with pytest.raises(ValueError):
@@ -478,13 +507,13 @@ def test_escalated_block_lift_is_shared_by_the_primes_above_p(monkeypatch):
 def test_block_lifts_reuse_the_factorization_of_the_split(monkeypatch):
     K = nf_create("X^2+1")  # a fresh field: no prime of it is cached
     factorizations = []
-    factor = ffield_module.factor_fpoly
+    factor = primes_module.factor_fpoly
 
     def counted(a, p):
         factorizations.append(p)
         return factor(a, p)
 
-    monkeypatch.setattr(ffield_module, "factor_fpoly", counted)
+    monkeypatch.setattr(primes_module, "factor_fpoly", counted)
     primes = primes_above(K, 5)
     assert factorizations == [5]
     for N in (16, 32):

@@ -169,6 +169,21 @@ def test_random_eval_consistency_with_sympy():
         assert sympy.Rational(mine.numerator, mine.denominator) == theirs
 
 
+def test_integer_sign_matches_fraction_horner():
+    # non-integral coefficients at points whose denominators are not powers
+    # of two; every third polynomial gets a factor (X - x), so x is a root
+    rng = random.Random(8080)
+    for i in range(500):
+        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                  for _ in range(rng.randint(1, 7))]
+        x = Fraction(rng.randint(-40, 40), rng.choice([3, 5, 6, 7, 9, 10, 11, 12, 15, 21]))
+        f = QPoly(coeffs) * QPoly([-x, 1]) if i % 3 == 0 else QPoly(coeffs)
+        v = Fraction(0)
+        for c in reversed(f.coeffs):
+            v = v * x + c
+        assert f.sign_at(x) == (v > 0) - (v < 0), (f, x)
+
+
 def test_rational_enumeration_prefix():
     got = list(islice(rationals_by_height(), 13))
     expect = [
