@@ -1,11 +1,12 @@
 """Root existence in closures of (K, P), and p-adic root approximation.
 
 For an ordering the question is a Sturm count under the embedding.  For a
-p-valuation, g is replaced by its squarefree part H, scaled to have integral
-coefficients, and an explicit-stack search follows the P-adic digits of the
-roots of H.  A node fixes x modulo t^d (t the uniformizer, d the depth) and
-carries G(Y) = H(x + t^d Y), whose coefficients c_i are integral with
-v(c_i) >= d i.
+p-valuation, one remainder chain of (g, g') gives the squarefree part h of g
+and Res(h, h') (a second chain runs only when g has a repeated factor, on
+h = g / gcd(g, g')); h is scaled to H with integral coefficients, and an
+explicit-stack search follows the P-adic digits of the roots of H.  A node
+fixes x modulo t^d (t the uniformizer, d the depth) and carries
+G(Y) = H(x + t^d Y), whose coefficients c_i are integral with v(c_i) >= d i.
 
   accept   v(H(x)) = +inf (a root in K itself), or v(H(x)) > 2 v(H'(x))
            (Hensel-Rychlik: a unique root of the completion sits over x).
@@ -54,6 +55,7 @@ from .errors import (
 from .ffield import FFElem
 from .numberfield import FieldElement, KPoly, Ordering, format_element, parse_element
 from .primes import PValuation, Prime
+from .qpoly import chain_resultant, remainder_chain
 
 # hard stop for pathological residue searches (visited-node budget)
 SEARCH_NODE_CAP = 2_000_000
@@ -83,13 +85,19 @@ def _require_monic_nonconstant(g: KPoly) -> None:
         raise NonMonic("polynomial must be monic")
 
 
-def _squarefree(g: KPoly) -> KPoly:
-    h = g.squarefree_part()
+def _squarefree_chain(g: KPoly) -> tuple[KPoly, list[KPoly]]:
+    """The squarefree part h of monic g and the remainder chain of (h, h'):
+    g and its own chain when that ends in a constant, else a second chain,
+    on h = g / gcd(g, g')."""
+    rems = remainder_chain(g, g.derivative())[0]
+    if rems[-1].degree == 0:
+        return g, rems
+    h, r = divmod(g, rems[-1])
+    check(r.is_zero, "gcd(g, g') does not divide g")
     if h.degree < 1:
-        raise ZeroDiscriminantUnhandled(
-            "squarefree part degenerated to a constant"
-        )
-    return h
+        raise ZeroDiscriminantUnhandled("squarefree part degenerated to a constant")
+    h = h.monic()
+    return h, remainder_chain(h, h.derivative())[0]
 
 
 def _integralize(P: PValuation, h: KPoly) -> tuple[KPoly, int]:
@@ -121,11 +129,14 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
 
 def _padic_search(P: PValuation, g: KPoly) -> tuple[RootReport, KPoly, int]:
     """The p-adic decision for monic nonconstant g, with the integral
-    squarefree model H of g and its shift, on which padic_root lifts."""
-    H, shift = _integralize(P, _squarefree(g))
-    disc = H.resultant(H.derivative())
+    squarefree model H of g and its shift, on which padic_root lifts.  H
+    scales the roots of the squarefree part h by t^shift, which adds
+    shift n(n-1) to v(Res(h, h')) to give D = v(Res(H, H'))."""
+    h, rems = _squarefree_chain(g)
+    H, shift = _integralize(P, h)
+    disc = chain_resultant(rems)
     check(not disc.is_zero, "squarefree part has zero discriminant")
-    D = P.valuation(disc)
+    D = P.valuation(disc) + shift * h.degree * (h.degree - 1)
     check(0 <= D < math.inf, f"discriminant of an integral model has v = {D}")
     depth_cap = 2 * D + 1
     cert = _root_search(P, H, depth_cap)
@@ -290,7 +301,7 @@ def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
         )
     cert = report.certificate
     if cert.get("kind") == "hensel":
-        H, shift = _integralize(P, _squarefree(g))
+        H, shift = _integralize(P, _squarefree_chain(g)[0])
         if shift != cert.get("shift"):
             return False
         x = parse_element(P.field, cert["residue"])

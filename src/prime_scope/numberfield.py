@@ -40,6 +40,7 @@ from .qpoly import (
     poly_resultant,
     poly_squarefree_part,
     rationals_of_height,
+    remainder_chain,
     sign_changes,
     sturm_sequence,
     variations,
@@ -282,18 +283,15 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        # extended euclid in Q[X]: s*g + t*f = 1 with g our representative
-        g, f = self.as_qpoly(), self.field.poly
-        r0, r1 = f, g
+        # the chain of f and our representative g ends in a constant c, as f
+        # is irreducible; s_(i+1) = s_(i-1) - q_i s_i from s_0 = 0, s_1 = 1
+        # folds its quotients into the Bezout cofactor, s_k g = c mod f
+        rems, quots = remainder_chain(self.field.poly, self.as_qpoly())
         s0, s1 = QPoly.zero(), QPoly.one()
-        while not r1.is_zero:
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
+        for q in quots[:-1]:
             s0, s1 = s1, s0 - q * s1
-        # r0 is a nonzero constant gcd since f is irreducible and g != 0 mod f
-        c = r0.coeff(0)
-        inv = QPoly([x / c for x in s0.coeffs])
-        return self.field.element(inv.coeffs)
+        c = rems[-1].coeff(0)
+        return self.field.element([x / c for x in s1.coeffs])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -578,16 +576,10 @@ class KPoly:
         seq = sturm_sequence(self, self.derivative())
 
         def var_at(x: Fraction | None, plus: bool) -> int:
-            signs = []
-            for p in seq:
-                if x is None:
-                    s = P.sign(p.lc)
-                    if not plus and p.degree % 2:
-                        s = -s
-                else:
-                    s = P.sign(p.eval_fraction(x))
-                signs.append(s)
-            return sign_changes(signs)
+            if x is None:  # at -infinity an odd degree flips the sign
+                return sign_changes([P.sign(p.lc) * (1 if plus else (-1) ** p.degree)
+                                     for p in seq])
+            return sign_changes([P.sign(p.eval_fraction(x)) for p in seq])
 
         return var_at(lo, plus=False) - var_at(hi, plus=True)
 

@@ -4,10 +4,11 @@ Coefficients are Fractions stored lowest-degree-first with trailing zeros
 stripped; the zero polynomial has an empty coefficient tuple and degree -1.
 Everything here is exact: no floats anywhere.
 
-The gcd, squarefree part, resultant and signed remainder sequence are module
-functions written once over any polynomial type with QPoly's interface
-(degree, lc, coeff, is_zero, monic, derivative, +, -, *, divmod); the QPoly
-methods, numberfield's KPoly methods and its ordering signs delegate to them.
+One Euclidean loop, remainder_chain, serves any polynomial type with QPoly's
+interface (degree, lc, coeff, is_zero, monic, derivative, +, -, *, divmod):
+the gcd, squarefree part, resultant and signed remainder sequence are module
+functions that read its chain, the QPoly and numberfield's KPoly methods and
+ordering signs delegate to them, and field inverses fold its quotients.
 """
 
 from __future__ import annotations
@@ -288,35 +289,39 @@ def _coerce(v) -> "QPoly":
     return NotImplemented
 
 
+def remainder_chain(f, g):
+    """The Euclidean remainder chain [f, g, f % g, ...] down to its last
+    nonzero remainder, and the quotient of each division.  The one Euclidean
+    loop over QPoly and numberfield's KPoly: gcd, resultant, Sturm sequence
+    and field inverse read it."""
+    rems, quots = [f, g], []
+    while not rems[-1].is_zero:
+        q, r = divmod(rems[-2], rems[-1])
+        quots.append(q)
+        rems.append(r)
+    return rems[:-1], quots
+
+
 def sturm_sequence(p, q):
-    """The signed remainder sequence p, q, then negated remainders, without
-    its final zero.  Between two non-roots a < b of p its sign variations
-    drop by the Cauchy index of q/p on (a, b) (Basu, Pollack and Roy,
-    Algorithms in Real Algebraic Geometry, ch. 2): for q = p' the number of
-    distinct real roots of p there, with no squarefree step, and for a p
-    with one simple root x there, sign(p'(x) q(x)).  Serves QPoly and
-    numberfield's KPoly alike."""
-    seq = [p, q]
-    while not seq[-1].is_zero:
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
-    return seq
+    """The signed remainder sequence (-1)^(i // 2) r_i of the chain r_i of
+    (p, q), as a % (-b) = a % b.  Between two non-roots a < b of p its sign
+    variations drop by the Cauchy index of q/p on (a, b) (Basu, Pollack and
+    Roy, Algorithms in Real Algebraic Geometry, ch. 2): for q = p' the number
+    of distinct real roots of p there, with no squarefree step, and for a p
+    with one simple root x there, sign(p'(x) q(x))."""
+    return [-r if i % 4 > 1 else r for i, r in enumerate(remainder_chain(p, q)[0])]
 
 
 def poly_gcd(a, b):
-    """Monic gcd by Euclid's algorithm; zero when both inputs are zero."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd, the chain's last remainder; zero when both inputs are zero."""
+    return remainder_chain(a, b)[0][-1].monic()
 
 
 def poly_squarefree_part(p):
     """p / gcd(p, p'), made monic: the product of the distinct irreducible
     factors of p, over a field of characteristic 0."""
-    if p.degree <= 0:
-        return p.monic()
     g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
+    if g.degree <= 0:
         return p.monic()
     q, r = divmod(p, g)
     check(r.is_zero, "gcd(p, p') does not divide p")
@@ -324,31 +329,22 @@ def poly_squarefree_part(p):
 
 
 def poly_resultant(f, g):
-    """Res(f, g) = lc(f)^{deg g} * prod g(root of f), by the Euclidean
-    remainder chain (Cohen, GTM 138, 3.3).  The value lies in the coefficient
-    ring, whose zero is coeff(-1) and whose one is that zero to the power 0,
-    so the code serves QPoly (a Fraction) and numberfield's KPoly (a field
-    element) alike."""
-    zero = f.coeff(-1)
-    if f.is_zero or g.is_zero:
-        return zero
-    negate = False
-    acc = zero**0
-    while True:
-        df, dg = f.degree, g.degree
-        if df == 0 or dg == 0:
-            acc = acc * (g.lc**df if dg == 0 else f.lc**dg)
-            return -acc if negate else acc
-        if df * dg % 2:
-            negate = not negate
-        if df < dg:
-            f, g = g, f
-            continue
-        r = f % g
-        if r.is_zero:
-            return zero
-        acc = acc * g.lc ** (df - r.degree)
-        f, g = g, r
+    """Res(f, g) = lc(f)^{deg g} * prod g(root of f)."""
+    return chain_resultant(remainder_chain(f, g)[0])
+
+
+def chain_resultant(rems):
+    """Res(r_0, r_1) read off their remainder chain r_0, ..., r_k by
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg(a % b)) Res(b, a % b),
+    ending with Res(a, c) = c^(deg a) for a constant c (Cohen, GTM 138,
+    3.3): a Fraction for QPoly, a field element for numberfield's KPoly."""
+    if len(rems) < 2 or rems[0].is_zero or rems[-1].degree > 0:
+        return rems[-1].coeff(-1)
+    acc = rems[-1].lc ** rems[-2].degree
+    for a, b, r in zip(rems, rems[1:], rems[2:]):
+        acc = acc * b.lc ** (a.degree - r.degree)
+        acc = -acc if a.degree * b.degree % 2 else acc
+    return acc
 
 
 def variations(seq: Sequence[QPoly], x) -> int:

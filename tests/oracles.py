@@ -38,6 +38,20 @@ def oracle_factor_mod_p(coeffs_ascending, p):
     return out
 
 
+def oracle_resultant(f_ascending, g_ascending) -> Fraction:
+    """Res(f, g) = lc(f)^(deg g) prod g(root of f), the Sylvester
+    determinant, by sympy.resultant with the higher degree first: sympy 1.14
+    returns Res(g, f) when deg f < deg g (resultant(x, x**3 + 1) is -1, the
+    Sylvester determinant 1), and Res(f, g) = (-1)^(deg f deg g) Res(g, f)."""
+    f, g = sym_poly(f_ascending), sym_poly(g_ascending)
+    sign = 1
+    if len(f_ascending) < len(g_ascending):
+        f, g = g, f
+        sign = -1 if (len(f_ascending) - 1) * (len(g_ascending) - 1) % 2 else 1
+    r = sympy.resultant(f, g)
+    return sign * Fraction(int(r.p), int(r.q))
+
+
 def oracle_real_root_count(coeffs_ascending):
     return len(sym_poly(coeffs_ascending).real_roots())
 

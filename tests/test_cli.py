@@ -290,7 +290,8 @@ def test_self_checks_survive_python_O():
         "from prime_scope.primes import primes_above\n"
         "K = nf_create('X')\n"
         "(P,) = primes_above(K, 5)\n"
-        "closure._squarefree = lambda g: g * g\n"
+        "from prime_scope.qpoly import remainder_chain\n"
+        "closure._squarefree_chain = lambda g: (g * g, remainder_chain(g * g, (g * g).derivative())[0])\n"
         "try:\n"
         "    closure.has_root_in_closure(P, KPoly(K, [K.rational(-2), K.zero(), K.one()]))\n"
         "except InvariantViolated as exc:\n"

@@ -278,8 +278,10 @@ def _digit_dfs(P, H, depth_cap):
 
 
 def _digit_padic_search(P, g):
-    """closure._padic_search with the digit search in place of the new one."""
-    H, shift = closure._integralize(P, closure._squarefree(g))
+    """closure._padic_search with the digit search in place of the new one,
+    and D computed on the integral model H itself: the independent reference
+    for the closure's D = v(Res(h, h')) + shift n(n-1) on the squarefree h."""
+    H, shift = closure._integralize(P, g.squarefree_part())
     D = P.valuation(H.resultant(H.derivative()))
     cert = _digit_dfs(P, H, 2 * D + 1)
     if cert is None:
@@ -326,11 +328,19 @@ def test_search_agrees_with_the_digit_search(text, p, index, monkeypatch):
     u = K.element([1] * K.degree)
     ks = (1, 2) if q < 10 else (1,) if q < 50 else ()
     corpus += [KPoly(K, [-(u * P.uniformizer ** (2 * k)), K.zero(), K.one()]) for k in ks]
+    # non-integral coefficients (shift >= 1) and squared factors, together too
+    t_inv = P.uniformizer.inverse()
+    shifted = [KPoly(K, [-(u * t_inv**2), K.zero(), K.one()]),
+               KPoly(K, [u, t_inv, K.zero(), K.one()])]
+    corpus += shifted + [shifted[0] * shifted[0], corpus[0] * corpus[0] * corpus[1]]
     seen = set()
     for g in corpus:
         new = has_root_in_closure(P, g)
         old = _digit_padic_search(P, g)[0]
         assert new.has_root == old.has_root, g
+        assert new.certificate["shift"] == old.certificate["shift"], g
+        if not new.has_root:
+            assert new.certificate == old.certificate, g
         assert verify_root_report(P, g, new)
         seen.add(new.has_root)
         if new.has_root:
@@ -340,6 +350,26 @@ def test_search_agrees_with_the_digit_search(text, p, index, monkeypatch):
                 m.setattr(closure, "_padic_search", _digit_padic_search)
                 assert padic_root(P, g, k) == y, g
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("text, chains, cert", [
+    ("X^2-2/9", 1, {"depth_cap": 1, "disc_valuation": 0, "kind": "exhausted", "shift": 1}),
+    ("X^4-4/9*X^2+4/81", 2, {"depth_cap": 1, "disc_valuation": 0, "kind": "exhausted", "shift": 1}),
+    ("X^3-2/27", 1, {"depth_cap": 7, "disc_valuation": 3, "kind": "exhausted", "shift": 1}),
+], ids=["x2-2/9", "x2-2/9_squared", "x3-2/27"])
+def test_shifted_and_repeated_certificates_are_pinned(text, chains, cert, monkeypatch):
+    # the discriminant valuation of the integral model, read off the chain
+    # of the squarefree part plus shift n(n-1): one chain for a squarefree
+    # g, a second only for the squarefree part of a repeated factor
+    (P,) = primes_above(RAT, 3)
+    g = kp(RAT, text)
+    seen = []
+    chain = closure.remainder_chain
+    monkeypatch.setattr(closure, "remainder_chain", lambda a, b: seen.append(a) or chain(a, b))
+    r = has_root_in_closure(P, g)
+    assert len(seen) == chains
+    assert not r.has_root and r.certificate == cert
+    assert verify_root_report(P, g, r)
 
 
 # --- deep inputs: the search stays linear in the depth -------------------------

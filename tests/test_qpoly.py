@@ -8,15 +8,23 @@ from itertools import islice
 
 import pytest
 
+from prime_scope.numberfield import KPoly, nf_create
 from prime_scope.qpoly import (
     QPoly,
     cyclotomic,
     format_poly,
     parse_poly,
+    poly_resultant,
     rationals_by_height,
+    sturm_sequence,
 )
 
-from oracles import oracle_distinct_real_root_count, oracle_real_root_count, sym_poly
+from oracles import (
+    oracle_distinct_real_root_count,
+    oracle_real_root_count,
+    oracle_resultant,
+    sym_poly,
+)
 
 
 def P(*cs):
@@ -64,6 +72,47 @@ def test_resultant_and_discriminant():
     assert P(-2, 0, 1).discriminant() == 8
     # Res(f,g) = lc(f)^deg g * prod g(roots of f): X^2-1 vs X-3 -> (3-1)(3+1)... sign per convention
     assert P(-1, 0, 1).resultant(P(-3, 1)) == (-3 + 1) * (-3 - 1) * 1  # g(1)*g(-1) = (-2)(-4)
+
+
+# --- readings of the remainder chain against independent references ----------
+
+def _random_qpoly(rng, degree):
+    """Degree `degree` (-1 for zero), non-monic, small rational coefficients."""
+    cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree)]
+    return P(*cs, Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 2))) if degree >= 0 else P()
+
+
+def test_resultant_agrees_with_the_sympy_oracle():
+    rng = random.Random(29)
+    pairs = [(_random_qpoly(rng, df), _random_qpoly(rng, dg)) for df in range(6) for dg in range(6)]
+    pairs += [(_random_qpoly(rng, rng.randint(0, 5)), _random_qpoly(rng, rng.randint(0, 5)))
+              for _ in range(40)]
+    for _ in range(10):  # a shared factor: the resultant is 0
+        h = _random_qpoly(rng, rng.randint(1, 2))
+        pairs.append((h * _random_qpoly(rng, rng.randint(0, 3)), h * _random_qpoly(rng, rng.randint(0, 3))))
+    pairs += [(P(3), P(5)), (P(Fraction(-2, 3)), P(1, 0, 2)), (P(1, 1, 1), P()), (P(), P(2, 1))]
+    for f, g in pairs:
+        assert poly_resultant(f, g) == oracle_resultant(f.coeffs, g.coeffs), (f, g)
+
+
+def _negated_remainder_sturm(p, q):
+    """The signed remainder sequence as a loop that negates each remainder."""
+    seq = [p, q]
+    while not seq[-1].is_zero:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+    return seq
+
+
+def test_sturm_sequence_agrees_with_the_negated_remainder_loop():
+    rng = random.Random(31)
+    K = nf_create("X^2-2")
+    for _ in range(40):
+        f = _random_qpoly(rng, rng.randint(1, 6))
+        g = rng.choice([f.derivative(), _random_qpoly(rng, rng.randint(0, 5))])
+        assert sturm_sequence(f, g) == _negated_remainder_sturm(f, g)
+        kf, kg = (KPoly(K, [K.element([c, rng.randint(-2, 2)]) for c in h.coeffs]) for h in (f, g))
+        assert sturm_sequence(kf, kg) == _negated_remainder_sturm(kf, kg)
 
 
 def test_cyclotomic_pinned():
