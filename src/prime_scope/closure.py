@@ -214,18 +214,8 @@ def _root_search(P: PValuation, H: KPoly, depth_cap: int) -> dict | None:
 def _residue_roots(k_P, coeffs: list[FFElem]) -> list[FFElem]:
     """Roots in k_P of a nonzero polynomial, by key, found by evaluating it
     at every residue."""
-    while coeffs[-1].is_zero:
-        coeffs.pop()
-    if len(coeffs) == 1:
-        return []
-    roots = []
-    for r in k_P.elements():
-        acc = k_P.zero()
-        for ci in reversed(coeffs):
-            acc = acc * r + ci
-        if acc.is_zero:
-            roots.append(r)
-    return roots
+    g = KPoly(k_P, coeffs)
+    return [r for r in k_P.elements() if not g(r)] if g.degree > 0 else []
 
 
 def _canonical_truncation(P: PValuation, x: FieldElement, k: int) -> FieldElement:

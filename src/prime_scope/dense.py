@@ -153,14 +153,14 @@ def ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: b
     steps = 0
 
     def hits(x: Fraction) -> bool:
-        gx = g.eval_fraction(x)
+        gx = g(K.rational(x))
         return want(P.sign(aa - gx * gx))
 
     lo = hi = None
     n = 0
     while True:
         steps += 1
-        if h.eval_fraction(n).is_zero:
+        if h(K.rational(n)).is_zero:
             # an exact root of h is a root of g, so |g| = 0 < |a| there
             return K.rational(n), steps
         if h.count_roots_in_ordering(P, Fraction(n), Fraction(n + 1)) > 0:

@@ -518,6 +518,9 @@ class FFElem:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def __eq__(self, other):
         return (
             isinstance(other, FFElem)

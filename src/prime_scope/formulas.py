@@ -261,20 +261,32 @@ class MPoly:
         return acc
 
     def __call__(self, values: list) -> FieldElement:
-        """Evaluate at FieldElements of one field."""
+        """Evaluate at FieldElements of one field by Horner's rule, one
+        variable at a time: a field multiplication per step between two
+        exponents of a variable, and none for a coefficient."""
         K = values[0].field
-        acc = K.zero()
         pows: dict = {}
-        for e, c in self.terms.items():
-            part = K.rational(c)
-            for i, k in enumerate(e):
-                if k:
-                    key = (i, k)
-                    if key not in pows:
-                        pows[key] = values[i] ** k
-                    part = part * pows[key]
-            acc = acc + part
-        return acc
+
+        def power(i, k):
+            if (i, k) not in pows:
+                pows[i, k] = values[i] ** k
+            return pows[i, k]
+
+        def horner(terms, i):
+            if i == self.nvars:
+                return K.rational(terms[0][1])
+            groups: dict = {}
+            for e, c in terms:
+                groups.setdefault(e[i], []).append((e, c))
+            ks = sorted(groups, reverse=True)
+            acc = horner(groups[ks[0]], i + 1)
+            for hi, lo in zip(ks, ks[1:]):
+                acc = acc * power(i, hi - lo) + horner(groups[lo], i + 1)
+            return acc * power(i, ks[-1]) if ks[-1] else acc
+
+        if not self.terms:
+            return K.zero()
+        return horner(list(self.terms.items()), 0)
 
     def __eq__(self, other):
         return (

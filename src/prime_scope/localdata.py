@@ -7,8 +7,8 @@ form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 The module has no polynomial arithmetic of its own: the blocks are lifted by
 ``ffield.hensel_lift``, whose self-checks reverify the defining identities at
 each doubling step, and root finding over a residue field
-F_q = ffield.FF(p, hbar) runs on numberfield's KPoly with FFElem
-coefficients.
+F_q = ffield.FF(p, hbar) runs on numberfield's KPoly, QPoly's arithmetic
+with FFElem coefficients.
 """
 
 from __future__ import annotations

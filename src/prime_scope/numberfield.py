@@ -1,5 +1,6 @@
 """Number fields Q[X]/(f), their elements, their orderings, and KPoly, the
-polynomials over K or over a finite field F_q.
+polynomials over K or over a finite field F_q: a qpoly.QPoly subclass that
+runs QPoly's ring arithmetic on FieldElement or FFElem coefficients.
 
 A field is created from a monic polynomial whose irreducibility over Q is
 decided for every degree, by factoring mod small primes and recombining
@@ -22,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible, check
 from .ffield import (
+    FFElem,
     factor_fpoly,
     fadd,
     fmul,
@@ -36,9 +38,6 @@ from .qpoly import (
     QPoly,
     format_poly,
     parse_poly,
-    poly_gcd,
-    poly_resultant,
-    poly_squarefree_part,
     rationals_of_height,
     remainder_chain,
     sign_changes,
@@ -231,6 +230,9 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
+
+    def __bool__(self):
+        return any(self.coords)
 
     def is_rational(self) -> bool:
         return not any(self.coords[1:])
@@ -431,120 +433,49 @@ def nf_create(poly: QPoly | str) -> NumberField:
 # polynomials over a number field
 # ---------------------------------------------------------------------------
 
-class KPoly:
-    """Dense polynomial over a field, lowest degree first: over a NumberField
-    K with FieldElement coefficients, or over a finite field ffield.FF with
-    FFElem coefficients.  The arithmetic needs only the field's zero() and
-    one() and its elements' + - *, inverse() and is_zero; the ordering,
-    derivative and rational-evaluation methods are for K."""
+class KPoly(QPoly):
+    """Dense polynomial over a field other than Q, lowest degree first: over
+    a NumberField K with FieldElement coefficients, or over a finite field
+    ffield.FF with FFElem coefficients.  The ring arithmetic is QPoly's, run
+    through the hooks below; an operand is a KPoly over an equal field or an
+    element of that field, and KPolys over different fields compare unequal.
+    Evaluation, shift_scale and the root count at an ordering are for K.
+    Unhashable."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field",)
+    __hash__ = None
 
     def __init__(self, field, coeffs: Sequence):
         cs = list(coeffs)
-        while cs and cs[-1].is_zero:
+        while cs and not cs[-1]:
             cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @staticmethod
     def from_qpoly(field: NumberField, p: QPoly) -> "KPoly":
         return KPoly(field, [field.rational(c) for c in p.coeffs])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    # --- coefficient-ring hooks of QPoly's arithmetic ----------------------
+    def _new(self, coeffs) -> "KPoly":
+        return KPoly(self.field, coeffs)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> FieldElement:
-        return self.coeffs[-1] if self.coeffs else self.field.zero()
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
-    def coeff(self, k: int) -> FieldElement:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+    def _zero(self):
         return self.field.zero()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, KPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+    def _one(self):
+        return self.field.one()
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return KPoly(self.field, out)
+    @staticmethod
+    def _inverse(c):
+        return c.inverse()
 
-    def __neg__(self):
-        return KPoly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, KPoly):
-            return KPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return KPoly(self.field, [])
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ca * cb
-        return KPoly(self.field, out)
-
-    def __divmod__(self, other: "KPoly"):
-        if other.is_zero:
-            raise ZeroDivisionError
-        q = [self.field.zero()] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        inv_lc = other.lc.inverse()
-        while len(rem) - 1 >= d:
-            if rem[-1].is_zero:
-                rem.pop()
-                continue
-            k = len(rem) - 1 - d
-            f = rem[-1] * inv_lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - f * c
-            rem.pop()
-        return KPoly(self.field, q), KPoly(self.field, rem)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "KPoly":
-        if self.is_zero:
-            return self
-        inv = self.lc.inverse()
-        return KPoly(self.field, [c * inv for c in self.coeffs])
-
-    def gcd(self, other: "KPoly") -> "KPoly":
-        return poly_gcd(self, other)
-
-    def derivative(self) -> "KPoly":
-        return KPoly(
-            self.field, [c * k for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def squarefree_part(self) -> "KPoly":
-        return poly_squarefree_part(self)
+    def _coerce(self, other):
+        if isinstance(other, (FieldElement, FFElem)):
+            other = KPoly(other.field, [other])
+        if isinstance(other, KPoly) and (other.field is self.field or other.field == self.field):
+            return other
+        return NotImplemented
 
     def __call__(self, x: FieldElement) -> FieldElement:
         acc = self.field.zero()
@@ -552,19 +483,11 @@ class KPoly:
             acc = acc * x + c
         return acc
 
-    def resultant(self, other: "KPoly") -> FieldElement:
-        return poly_resultant(self, other)
-
-    def eval_fraction(self, q) -> FieldElement:
-        return self(self.field.rational(q))
-
     def shift_scale(self, a: FieldElement, s: FieldElement) -> "KPoly":
         """p(a + s*X)."""
-        K = self.field
-        acc = KPoly(K, [])
-        lin = KPoly(K, [a, s])
+        acc, lin = self._new([]), self._new([a, s])
         for c in reversed(self.coeffs):
-            acc = acc * lin + KPoly(K, [c])
+            acc = acc * lin + c
         return acc
 
     # --- real-root counting relative to an ordering ------------------------
@@ -579,7 +502,7 @@ class KPoly:
             if x is None:  # at -infinity an odd degree flips the sign
                 return sign_changes([P.sign(p.lc) * (1 if plus else (-1) ** p.degree)
                                      for p in seq])
-            return sign_changes([P.sign(p.eval_fraction(x)) for p in seq])
+            return sign_changes([P.sign(p(self.field.rational(x))) for p in seq])
 
         return var_at(lo, plus=False) - var_at(hi, plus=True)
 

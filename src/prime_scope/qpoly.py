@@ -1,14 +1,16 @@
-"""Dense univariate polynomials over Q, exact.
+"""Dense univariate polynomials over a field, exact: QPoly over Q, whose
+ring arithmetic numberfield's KPoly inherits over a number field or F_q.
 
-Coefficients are Fractions stored lowest-degree-first with trailing zeros
-stripped; the zero polynomial has an empty coefficient tuple and degree -1.
-Everything here is exact: no floats anywhere.
+Coefficients are stored lowest-degree-first with trailing zeros stripped; the
+zero polynomial has an empty coefficient tuple and degree -1.  The ring
+methods ask of a coefficient only + - * and truth for "nonzero"; the rest of
+the coefficient ring enters through hooks that KPoly overrides (_new, _zero,
+_one, _inverse, _coerce), never once per coefficient.  The methods for Q
+alone (sign_at, isolate_real_roots, ...) are QPoly's too.  No floats anywhere.
 
-One Euclidean loop, remainder_chain, serves any polynomial type with QPoly's
-interface (degree, lc, coeff, is_zero, monic, derivative, +, -, *, divmod):
-the gcd, squarefree part, resultant and signed remainder sequence are module
-functions that read its chain, the QPoly and numberfield's KPoly methods and
-ordering signs delegate to them, and field inverses fold its quotients.
+One Euclidean loop, remainder_chain, serves both classes: the gcd,
+squarefree part, resultant and signed remainder sequence read its chain, and
+field inverses fold its quotients.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
 
 
 class QPoly:
-    """Immutable polynomial over Q."""
+    """Immutable polynomial over Q; numberfield.KPoly inherits its ring methods."""
 
     __slots__ = ("coeffs",)
 
@@ -40,7 +42,7 @@ class QPoly:
         object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("QPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # --- constructors ---------------------------------------------------
     @staticmethod
@@ -59,6 +61,36 @@ class QPoly:
     def monomial(c, k: int) -> "QPoly":
         return QPoly([0] * k + [Fraction(c)])
 
+    # --- coefficient-ring hooks, overridden by numberfield.KPoly ------------
+    def _new(self, coeffs) -> "QPoly":
+        """A polynomial over the receiver's ring with these coefficients."""
+        return QPoly(coeffs)
+
+    def _zero(self):
+        return Fraction(0)
+
+    def _one(self):
+        return Fraction(1)
+
+    @staticmethod
+    def _inverse(c):
+        return Fraction(c.denominator, c.numerator)
+
+    def _coerce(self, other):
+        """other as a polynomial over the receiver's ring, or NotImplemented."""
+        if type(other) is QPoly:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QPoly.constant(other)
+        return NotImplemented
+
+    def _operand(self, other):
+        """_coerce for the named methods: TypeError on an unsupported operand."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            raise TypeError(f"unsupported operand for {type(self).__name__}: {other!r}")
+        return o
+
     # --- basic queries ---------------------------------------------------
     @property
     def degree(self) -> int:
@@ -69,29 +101,26 @@ class QPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else self._zero()
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.coeffs) and self.coeffs[-1] == self._one()
 
-    def coeff(self, k: int) -> Fraction:
+    def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return self._zero()
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.constant(other)
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -101,7 +130,7 @@ class QPoly:
 
     # --- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -110,42 +139,45 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return self._new([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPoly.zero()
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if not a or not b:
+            return self._new(())
+        out = [self._zero()] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPoly(out)
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = QPoly.one(), self
+        result, base = self._new([self._one()]), self
         while k:
             if k & 1:
                 result = result * base
@@ -154,24 +186,26 @@ class QPoly:
         return result
 
     def __divmod__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        d, b = other.degree, other.coeffs
+        q = [self._zero()] * max(0, self.degree - d + 1)
         rem = list(self.coeffs)
-        d, lcd = other.degree, other.lc
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
+        inv = self._inverse(b[-1])
+        while len(rem) > d:
+            if not rem[-1]:
                 rem.pop()
-            if len(rem) - 1 < d:
-                break
+                continue
             k = len(rem) - 1 - d
-            f = rem[-1] / lcd
+            f = rem[-1] * inv
             q[k] = f
-            for i, c in enumerate(other.coeffs):
+            for i, c in enumerate(b):
                 rem[k + i] -= f * c
             rem.pop()
-        return QPoly(q), QPoly(rem)
+        return self._new(q), self._new(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -187,7 +221,7 @@ class QPoly:
 
     # --- calculus / evaluation -------------------------------------------
     def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return self._new([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def __call__(self, x):
         """Evaluate by Horner.  Works for Fractions and anything with ring ops."""
@@ -201,8 +235,8 @@ class QPoly:
     def monic(self) -> "QPoly":
         if self.is_zero:
             return self
-        l = self.lc
-        return QPoly([c / l for c in self.coeffs])
+        inv = self._inverse(self.lc)
+        return self._new([c * inv for c in self.coeffs])
 
     def scale_arg(self, s) -> "QPoly":
         """p(s*X)."""
@@ -215,13 +249,13 @@ class QPoly:
 
     # --- gcd and friends ---------------------------------------------------
     def gcd(self, other: "QPoly") -> "QPoly":
-        return poly_gcd(self, _coerce(other))
+        return poly_gcd(self, self._operand(other))
 
     def squarefree_part(self) -> "QPoly":
         return poly_squarefree_part(self)
 
     def resultant(self, other: "QPoly") -> Fraction:
-        return poly_resultant(self, _coerce(other))
+        return poly_resultant(self, self._operand(other))
 
     def discriminant(self) -> Fraction:
         n = self.degree
@@ -249,7 +283,7 @@ class QPoly:
         """Cauchy bound: all real roots lie in (-B, B)."""
         if self.degree < 1:
             return Fraction(1)
-        m = max(abs(c) for c in self.coeffs[:-1]) if self.degree else Fraction(0)
+        m = max(abs(c) for c in self.coeffs[:-1])
         return 1 + m / abs(self.lc)
 
     def isolate_real_roots(self) -> list[tuple[Fraction, Fraction]]:
@@ -279,14 +313,6 @@ class QPoly:
             stack.append((mid, hi, n - nl))
             stack.append((lo, mid, nl))
         return out
-
-
-def _coerce(v) -> "QPoly":
-    if isinstance(v, QPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return QPoly.constant(v)
-    return NotImplemented
 
 
 def remainder_chain(f, g):

@@ -235,6 +235,47 @@ def test_mpoly_substitute_matches_direct_eval():
     assert phi3(vals) == nested
 
 
+def _term_by_term(poly, values):
+    K = values[0].field
+    acc = K.zero()
+    for e, c in poly.terms.items():
+        part = K.rational(c)
+        for x, k in zip(values, e):
+            part = part * x**k
+        acc = acc + part
+    return acc
+
+
+def test_mpoly_call_agrees_with_term_by_term_sum():
+    # Horner evaluation against the expanded sum: sparse terms with exponent
+    # gaps, no constant term, lowest exponents above zero, and the zero poly
+    rng = random.Random(9)
+    pool = [x for x in itertools.islice(elements_by_height(GAUSS), 30) if not x.is_zero]
+    for nvars in (1, 2, 3, 4):
+        for _ in range(15):
+            terms = {
+                tuple(rng.choice((0, 1, 2, 5)) for _ in range(nvars)):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                for _ in range(rng.randint(0, 8))
+            }
+            poly = MPoly(nvars, terms)
+            xs = [rng.choice(pool) for _ in range(nvars)]
+            assert poly(xs) == _term_by_term(poly, xs)
+    assert MPoly(2, {})(pool[:2]) == GAUSS.zero()
+
+
+def test_phi_4_evaluates_as_its_nesting():
+    # the 126 terms of phi_4 over F_9 against phi_2(x1, phi_2(x2, phi_2(x3, x4)))
+    _, phi4 = build_phi_n(3, 2, 4)
+    _, phi2 = build_phi_n(3, 2, 2)
+    rng = random.Random(10)
+    pool = [x for x in itertools.islice(elements_by_height(GAUSS), 30) if not x.is_zero]
+    for _ in range(5):
+        xs = [rng.choice(pool) for _ in range(4)]
+        nested = phi2([xs[0], phi2([xs[1], phi2(xs[2:])])])
+        assert phi4(xs) == nested == _term_by_term(phi4, xs)
+
+
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------

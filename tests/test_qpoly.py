@@ -8,6 +8,7 @@ from itertools import islice
 
 import pytest
 
+from prime_scope.ffield import FF, fadd, fdivmod, fgcd, fmul, fred, fsub
 from prime_scope.numberfield import KPoly, nf_create
 from prime_scope.qpoly import (
     QPoly,
@@ -113,6 +114,160 @@ def test_sturm_sequence_agrees_with_the_negated_remainder_loop():
         assert sturm_sequence(f, g) == _negated_remainder_sturm(f, g)
         kf, kg = (KPoly(K, [K.element([c, rng.randint(-2, 2)]) for c in h.coeffs]) for h in (f, g))
         assert sturm_sequence(kf, kg) == _negated_remainder_sturm(kf, kg)
+
+
+# --- one polynomial class over Q, K and F_q --------------------------------
+
+GAUSS = nf_create("X^2+1")
+F9 = FF(3, (1, 0, 1))  # F_3[y]/(y^2 + 1)
+
+# the ring methods QPoly holds for every coefficient ring
+RING_METHODS = (
+    "degree", "is_zero", "lc", "coeff", "is_monic", "__bool__", "__eq__",
+    "__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__divmod__", "__mod__", "__floordiv__", "exact_div", "__pow__", "monic",
+    "derivative", "gcd", "squarefree_part", "resultant",
+)
+
+
+def test_kpoly_inherits_the_ring_methods_of_qpoly():
+    assert issubclass(KPoly, QPoly)
+    own = set(vars(KPoly))
+    assert not own & set(RING_METHODS)
+    assert "eval_fraction" not in own
+    assert all(name in vars(QPoly) for name in RING_METHODS)
+
+
+_QP = QPoly([1, 2])
+_KP = KPoly(GAUSS, [GAUSS.gen(), GAUSS.one()])
+_SQRT2 = nf_create("X^2-2")
+
+UNSUPPORTED_OPERANDS = {
+    "str - QPoly": lambda: "x" - _QP,
+    "QPoly - str": lambda: _QP - "x",
+    "QPoly + str": lambda: _QP + "x",
+    "QPoly * str": lambda: _QP * "x",
+    "divmod(QPoly, str)": lambda: divmod(_QP, "x"),
+    "QPoly % str": lambda: _QP % "x",
+    "QPoly // str": lambda: _QP // "x",
+    "QPoly.gcd(str)": lambda: _QP.gcd("x"),
+    "QPoly.resultant(str)": lambda: _QP.resultant("x"),
+    "QPoly.exact_div(str)": lambda: _QP.exact_div("x"),
+    "KPoly + int": lambda: _KP + 1,
+    "KPoly - int": lambda: _KP - 1,
+    "KPoly * int": lambda: _KP * 1,
+    "int - KPoly": lambda: 1 - _KP,
+    "KPoly + QPoly": lambda: _KP + _QP,
+    "QPoly * KPoly": lambda: _QP * _KP,
+    "divmod(KPoly, QPoly)": lambda: divmod(_KP, _QP),
+    "KPoly.gcd(QPoly)": lambda: _KP.gcd(_QP),
+    "KPoly - KPoly of another field": lambda: _KP - KPoly(_SQRT2, [_SQRT2.gen()]),
+    "KPoly * element of another field": lambda: _KP * _SQRT2.gen(),
+    "KPoly + FFElem": lambda: _KP + F9.one(),
+    "KPoly % str": lambda: _KP % "x",
+}
+
+
+@pytest.mark.parametrize("op", list(UNSUPPORTED_OPERANDS.values()), ids=list(UNSUPPORTED_OPERANDS))
+def test_unsupported_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_kpoly_takes_an_element_of_its_field_in_add_sub_and_mul():
+    i, one = GAUSS.gen(), GAUSS.one()
+    g = KPoly(GAUSS, [one, one])  # Y + 1
+    assert g + i == KPoly(GAUSS, [one + i, one])
+    assert g - i == KPoly(GAUSS, [one - i, one])
+    assert g * i == KPoly(GAUSS, [i, i])
+    y = F9.element([0, 1])
+    h = KPoly(F9, [F9.one(), F9.one()])
+    assert h + y == KPoly(F9, [F9.one() + y, F9.one()])
+    assert h - y == KPoly(F9, [F9.one() - y, F9.one()])
+    assert h * y == KPoly(F9, [y, y])
+
+
+def test_kpoly_over_a_finite_field_is_monic_and_stays_over_its_field():
+    # FFElem == 1 is False: is_monic must compare against the field's one
+    y, one, zero = F9.element([0, 1]), F9.one(), F9.zero()
+    g = KPoly(F9, [y, zero, one])  # Z^2 + y
+    h = KPoly(F9, [one, y + one])  # (y + 1) Z + 1
+    assert g.is_monic and not h.is_monic and h.monic().is_monic
+    q, r = divmod(g, h)
+    assert q * h + r == g and r.degree < h.degree
+    for result in (h.monic(), g ** 3, g ** 0, q, r, g.gcd(h), g % h, g // h):
+        assert type(result) is KPoly and result.field is F9
+    assert g ** 0 == KPoly(F9, [one])
+
+
+def _pairs_with_shared_factors(rng, draw):
+    """Every degree pair 0-5 from draw(rng, degree), then ten pairs with a
+    common factor of degree 1 or 2."""
+    pairs = [(draw(rng, df), draw(rng, dg)) for df in range(6) for dg in range(6)]
+    for _ in range(10):
+        h = draw(rng, rng.randint(1, 2))
+        pairs.append((h * draw(rng, rng.randint(0, 3)), h * draw(rng, rng.randint(0, 3))))
+    return pairs
+
+
+def test_embedding_into_a_number_field_commutes_with_the_ring_methods():
+    rng = random.Random(41)
+
+    def emb(p):
+        return KPoly.from_qpoly(GAUSS, p)
+
+    for f, g in _pairs_with_shared_factors(rng, _random_qpoly):
+        F, G = emb(f), emb(g)
+        assert F + G == emb(f + g) and F - G == emb(f - g) and F * G == emb(f * g), (f, g)
+        assert F.monic() == emb(f.monic()) and F.derivative() == emb(f.derivative())
+        assert F.squarefree_part() == emb(f.squarefree_part())
+        assert F.gcd(G) == emb(f.gcd(g)), (f, g)
+        assert F.resultant(G) == GAUSS.rational(f.resultant(g)), (f, g)
+        q, r = divmod(F, G)
+        assert (q, r) == tuple(map(emb, divmod(f, g))), (f, g)
+
+
+def _random_int_poly(rng, degree):
+    return QPoly([rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-4, -3, -1, 1, 2, 5])])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_kpoly_over_f_p_agrees_with_the_integer_kernel(p):
+    Fp = FF(p, (0, 1))
+    rng = random.Random(50 + p)
+
+    def emb(f):
+        return KPoly(Fp, [Fp.element([int(c)]) for c in f.coeffs])
+
+    def ints(F):
+        return tuple(c.coeffs[0] for c in F.coeffs)
+
+    for f, g in _pairs_with_shared_factors(rng, _random_int_poly):
+        a, b = fred([int(c) for c in f.coeffs], p), fred([int(c) for c in g.coeffs], p)
+        F, G = emb(f), emb(g)
+        assert ints(F + G) == fadd(a, b, p) and ints(F - G) == fsub(a, b, p)
+        assert ints(F * G) == fmul(a, b, p)
+        assert ints(F.gcd(G)) == fgcd(a, b, p), (f, g)
+        if b:
+            assert tuple(map(ints, divmod(F, G))) == fdivmod(a, b, p), (f, g)
+
+
+def test_equality_across_classes_and_fields_and_hashing():
+    q = QPoly([1, 0, 1])
+    k = KPoly.from_qpoly(GAUSS, q)
+    assert (q == k) is False and (k == q) is False
+    assert q != k and k != q
+    other = KPoly.from_qpoly(_SQRT2, q)
+    assert (k == other) is False and (other == k) is False and k != other
+    assert k == KPoly.from_qpoly(nf_create("X^2+1"), q)  # an equal field
+    F3 = FF(3, (0, 1))
+    over_f9 = KPoly(F9, [F9.one(), F9.zero(), F9.one()])
+    assert (over_f9 == KPoly(F3, [F3.one(), F3.zero(), F3.one()])) is False
+    assert (over_f9 == k) is False
+    with pytest.raises(TypeError):
+        hash(k)
+    assert hash(q) == hash(parse_poly("1 + X^2"))
+    assert {GAUSS: "gauss"}[nf_create("X^2+1")] == "gauss"
 
 
 def test_cyclotomic_pinned():
