@@ -33,9 +33,9 @@ v(Y - lift(r)) > 0, and the degree of the child's reduction counts those with
 v(Y - lift(r)) >= 1, so it is no larger.  Hence at every depth the children's
 reductions have degrees summing to at most deg H, there are at most deg H
 nodes per depth, and at most deg H (2D+2) nodes in all.  The roots of each
-reduction are found by evaluating it at every residue, so a node costs
-O(q deg H) residue-field operations for q = #k_P.  Children are visited in
-residue-key order.
+reduction come from localdata.ff_poly_roots: a scan of k_P when q = #k_P is
+small, a split by powers modulo the reduction, O(log q) products each, when
+q is large.  Children are visited in residue-key order.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     ZeroDiscriminantUnhandled,
     check,
 )
-from .ffield import FFElem
+from .localdata import ff_poly_roots
 from .numberfield import FieldElement, KPoly, Ordering, format_element, parse_element
 from .primes import PValuation, Prime
 from .qpoly import chain_resultant, remainder_chain
@@ -203,19 +203,12 @@ def _root_search(P: PValuation, H: KPoly, depth_cap: int) -> dict | None:
             scale = power(t_inv_pows, t_inv, m)
             c = [ci * scale if v == m else ci for ci, v in zip(c, vals)]
         reduction = [P.unit_residue(ci) if v == m else k_P.zero() for ci, v in zip(c, vals)]
-        for r in reversed(_residue_roots(k_P, reduction)):
+        for r in reversed(ff_poly_roots(k_P, reduction)):
             key = r.key()
             if key not in lifts:
                 lifts[key] = P.lift_residue(r)
             stack.append((x, depth, G, lifts[key]))
     return None
-
-
-def _residue_roots(k_P, coeffs: list[FFElem]) -> list[FFElem]:
-    """Roots in k_P of a nonzero polynomial, by key, found by evaluating it
-    at every residue."""
-    g = KPoly(k_P, coeffs)
-    return [r for r in k_P.elements() if not g(r)] if g.degree > 0 else []
 
 
 def _canonical_truncation(P: PValuation, x: FieldElement, k: int) -> FieldElement:

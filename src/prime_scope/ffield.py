@@ -283,14 +283,15 @@ def is_irreducible(a: FPoly, p: int) -> bool:
     x: FPoly = (0, 1)
     if fpowmod(x, p ** d, a, p) != fmod(x, a, p):
         return False
-    for l in _prime_divisors(d):
+    for l in prime_divisors(d):
         h = fsub(fpowmod(x, p ** (d // l), a, p), fmod(x, a, p), p)
         if fgcd(h, a, p) != (1,):
             return False
     return True
 
 
-def _prime_divisors(n: int) -> list[int]:
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -471,6 +472,7 @@ class FF:
                 raise ValueError(f"not a reduced monic irreducible mod {p}: {m}")
             obj = super().__new__(cls)
             obj.p, obj.f, obj.modulus = p, len(m) - 1, m
+            obj._neg = [-c for c in m[:-1]]  # the negated tail of _fmulmod_monic
             cls._cache[key] = obj
         return cls._cache[key]
 
@@ -511,9 +513,6 @@ class FFElem:
         self.field = field
         self.coeffs = coeffs
 
-    def _poly(self) -> FPoly:
-        return ftrim(self.coeffs)
-
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -531,24 +530,34 @@ class FFElem:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
+    def _operand(self, other):
+        """other's coefficients; NotImplemented for a type other than FFElem."""
+        if not isinstance(other, FFElem):
+            return NotImplemented
+        if other.field is not self.field:
+            raise ValueError("elements of different finite fields")
+        return other.coeffs
+
     def __add__(self, other):
-        return self.field.element(fadd(self._poly(), other._poly(), self.field.p))
+        b = self._operand(other)
+        return b if b is NotImplemented else self.field.element(fadd(self.coeffs, b, self.field.p))
 
     def __sub__(self, other):
-        return self.field.element(fsub(self._poly(), other._poly(), self.field.p))
+        b = self._operand(other)
+        return b if b is NotImplemented else self.field.element(fsub(self.coeffs, b, self.field.p))
 
     def __neg__(self):
-        return self.field.element(fneg(self._poly(), self.field.p))
+        return self.field.element(fneg(self.coeffs, self.field.p))
 
     def __mul__(self, other):
-        F = self.field
-        return F.element(fmod(fmul(self._poly(), other._poly(), F.p), F.modulus, F.p))
+        b, F = self._operand(other), self.field
+        return b if b is NotImplemented else F.element(_fmulmod_monic(self.coeffs, b, F._neg, F.p))
 
     def __pow__(self, e: int):
         F = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        return F.element(fpowmod(self._poly(), e, F.modulus, F.p))
+        return F.element(fpowmod(self.coeffs, e, F.modulus, F.p))
 
     def inverse(self) -> "FFElem":
         if self.is_zero:
@@ -572,7 +581,7 @@ def ffield_order(x: FFElem) -> int:
         raise ZeroElement("order of zero requested")
     n = x.field.order - 1
     order = n
-    for q in _prime_divisors(n):
+    for q in prime_divisors(n):
         while order % q == 0 and (x ** (order // q)) == x.field.one():
             order //= q
     return order

@@ -1,20 +1,20 @@
 """Local machinery at a finite prime: Dedekind's criterion, the block
 factorization f = prod h_i^{e_i} mod p lifted to prime-power precision for
-valuations and residue maps, and root finding over a finite field.
+valuations and residue maps, and the one root finder over a finite field.
 
 Everything here works on monic integer polynomials in the ``ffield`` kernel's
 form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 The module has no polynomial arithmetic of its own: the blocks are lifted by
 ``ffield.hensel_lift``, whose self-checks reverify the defining identities at
-each doubling step, and root finding over a residue field
-F_q = ffield.FF(p, hbar) runs on numberfield's KPoly, QPoly's arithmetic
-with FFElem coefficients.
+each doubling step.  ``ff_poly_roots`` answers the closure search and the
+no-short check over a residue field F_q = ffield.FF(p, hbar), on numberfield's
+KPoly (QPoly's arithmetic with FFElem coefficients).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import ZeroElement, check
 from .ffield import (
@@ -92,16 +92,25 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
 # polynomial roots over a finite field (deterministic)
 # ---------------------------------------------------------------------------
 
+# fields up to this order are scanned, larger ones split (BENCH_rootfind.json)
+_SCAN_LIMIT = 200
+
+
 def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     """All roots in `field` of a polynomial with FFElem coefficients, sorted
-    by the canonical element key.  Deterministic: the splitter tries the
-    shifts a by key instead of sampling, those outside the prime field
-    F_p (keys p, ..., q-1) first.  For odd p and even f every element of
-    F_p is a square in F_q = F_{p^f}, so a shift a in F_p never separates
-    two roots that lie in F_p."""
-    h = KPoly(field, coeffs)
+    by the canonical element key; the one root finder over F_q.  A field of
+    order q <= _SCAN_LIMIT is scanned in key order.  A larger one is split
+    deterministically, in memory independent of q: for odd p by the shifts a
+    in key order, those outside F_p (keys p, ..., q-1) first, since for even
+    f every element of F_p is a square in F_q and never separates two roots
+    in F_p; for p = 2 by the trace of a Y for a = Y, ..., Y^(f-1), 1."""
+    h, q = KPoly(field, coeffs), field.order
     if h.is_zero:
         raise ZeroElement("root set of the zero polynomial")
+    if h.degree == 0:
+        return []
+    if q <= _SCAN_LIMIT:
+        return [r for r in field.elements() if not h(r)]
     one = KPoly(field, [field.one()])
     x = KPoly(field, [field.zero(), field.one()])
 
@@ -116,14 +125,14 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
 
     def proper_factor(g: KPoly) -> KPoly | None:
         # g is monic and squarefree, a product of at least two distinct
-        # linear factors
-        shifts = field.elements()
-        prime_field = list(islice(shifts, field.p))
-        for a in chain(shifts, prime_field):
-            if field.p == 2:
+        # linear factors.  For p = 2, T(aY) separates roots r, s exactly when
+        # T(a(r - s)) = 1; T is F_2-linear and onto, so a basis element does
+        p = field.p
+        keys = [2**i for i in range(1, field.f)] + [1] if p == 2 else chain(range(p, q), range(p))
+        for k in keys:
+            a = field.element(k // p**i for i in range(field.f))
+            if p == 2:
                 # trace map splitter: T(a*Y) = sum of (a*Y)^(2^i), i < f
-                if a.is_zero:
-                    continue
                 w, term = KPoly(field, []), (x * a) % g
                 for _ in range(field.f):
                     w = w + term
@@ -135,7 +144,6 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
                 return d
         return None
 
-    q = field.order
     roots: list[FFElem] = []
     # keep only the part splitting over this field
     work = [h.gcd(powmod(x, q, h) - x)]

@@ -250,19 +250,20 @@ class FieldElement:
 
     # --- ring ops ----------------------------------------------------------
     def _coerce(self, other) -> "FieldElement":
+        """other in this field; NotImplemented for another type (KPoly's turn)."""
         if isinstance(other, FieldElement):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.rational(other)
-        raise TypeError(f"cannot coerce {other!r}")
+        return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, o.coords))
-        )
+        if o is NotImplemented:
+            return o
+        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
 
     __radd__ = __add__
 
@@ -270,13 +271,17 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return o if o is NotImplemented else self + -o
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         prod = self.as_qpoly() * o.as_qpoly()
         return self.field.element(prod.coeffs)
 
@@ -296,10 +301,12 @@ class FieldElement:
         return self.field.element([x / c for x in s1.coeffs])
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        o = self._coerce(other)
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        o = self._coerce(other)
+        return o if o is NotImplemented else o * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -313,11 +320,8 @@ class FieldElement:
         return result
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.coords == o.coords
+        o = self._coerce(other)
+        return o if o is NotImplemented else self.coords == o.coords
 
     def __hash__(self):
         return hash((self.field.poly.coeffs, self.coords))

@@ -32,6 +32,7 @@ from .ffield import (
     fmul,
     fred,
     is_prime,
+    prime_divisors,
     reduce_qpoly_mod_p,
 )
 from .localdata import (
@@ -290,7 +291,9 @@ def primes_of_type(
 
 def chi_member(P: Prime, tau: PrimeType, t: FieldElement, s: FieldElement) -> bool:
     """Whether P lands in the (t, s)-cut of S_p^tau: t^e/p is a unit, s is a
-    unit, and s^n - 1 is a unit for every proper divisor n of p^f - 1.
+    unit, and s^n - 1 is a unit for every proper divisor n of p^f - 1.  For a
+    unit s that says r^n != 1 for r = residue(s) in k_P; as every proper
+    divisor divides some (p^f - 1)/l, l prime, r^((p^f - 1)/l) != 1 suffices.
     Orderings pass unconditionally."""
     if isinstance(P, Ordering):
         return True
@@ -301,14 +304,8 @@ def chi_member(P: Prime, tau: PrimeType, t: FieldElement, s: FieldElement) -> bo
         return False
     if s.is_zero or P.valuation(s) != 0:
         return False
-    m = p**tau.f - 1
-    for n in range(1, m):
-        if m % n:
-            continue
-        w = s**n - P.field.one()
-        if w.is_zero or P.valuation(w) != 0:
-            return False
-    return True
+    r, one, m = P.unit_residue(s), P.residue_field.one(), p**tau.f - 1
+    return all(r ** (m // l) != one for l in prime_divisors(m))
 
 
 def holomorphy_member(

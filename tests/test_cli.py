@@ -1,4 +1,5 @@
-"""End-to-end CLI checks through real subprocess invocations."""
+"""End-to-end CLI checks, through real subprocess invocations except where a
+wall-clock bound runs cli.main in process."""
 
 import json
 import os
@@ -252,6 +253,44 @@ def test_emit_nu_at_n_7_answers_fast(wall_clock_limit):
         r = run("formula", "emit-nu", "--p", "2", "--n", "7")
     assert r.returncode == 0, r.stderr
     json.loads(r.stdout)
+
+
+def _main_json(capsys, *argv):
+    from prime_scope.cli import main
+
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_closure_root_at_a_large_inert_prime_answers_fast(wall_clock_limit, capsys):
+    # k_P = F_(10007^2): a scan of the residue field takes 10^8 evaluations
+    # per node; the root finder splits the reduction instead
+    with wall_clock_limit(2):
+        code, out = _main_json(capsys, "closure", "has-root", "--field", "X^2+1", "--p", "10007",
+                               "--index", "0", "--poly", "X^2+X+3")
+    assert code == 0 and out["has_root"]
+    assert out["certificate"] == {"depth": 1, "kind": "hensel", "residue": "[5003, 1284]",
+                                  "shift": 0, "vdg": 0, "vg": 1}
+    # the residue a + b i is a root of X^2 + X + 3 mod 10007
+    a, b, p = 5003, 1284, 10007
+    assert ((a * a - b * b + a + 3) % p, (2 * a * b + b) % p) == (0, 0)
+
+
+def test_no_short_precondition_at_a_large_prime_answers_fast(wall_clock_limit, capsys):
+    # the reduction X^2 - 1 has the roots 1 and -1 in F_10000019
+    with wall_clock_limit(2):
+        code, out = _main_json(capsys, "squares", "check-s6", "--field", "X", "--p", "10000019",
+                               "--index", "0", "--poly", "X^2-1", "--eps", "10000019", "--s", "2")
+    assert code == 1
+    assert out["error"] == "PreconditionViolated" and out["clause"] == "rootless-reduction"
+
+
+def test_chi_at_a_large_prime_answers_fast(wall_clock_limit, capsys):
+    # 5 generates (Z/(10^9+7))^*, so s^n - 1 is a unit for every proper n
+    with wall_clock_limit(2):
+        code, out = _main_json(capsys, "chi", "--field", "X", "--p", "1000000007", "--index", "0",
+                               "--t", "1000000007", "--s", "5")
+    assert code == 0 and out == {"member": True}
 
 
 def test_field_with_a_large_constant_term_finishes_fast():

@@ -372,6 +372,42 @@ def test_shifted_and_repeated_certificates_are_pinned(text, chains, cert, monkey
     assert verify_root_report(P, g, r)
 
 
+# --- residue fields on both sides of the scan limit ---------------------------
+
+_H = {"kind": "hensel", "shift": 0}
+_X = {"kind": "exhausted", "shift": 0}
+
+
+@pytest.mark.parametrize("p, text, cert", [
+    # k_P = F_169, below the scan limit of ff_poly_roots
+    (13, "X^2-4*X-3", {**_H, "depth": 1, "residue": "[2, 6]", "vdg": 0, "vg": 1}),
+    (13, "X^2-X-3", {**_X, "depth_cap": 3, "disc_valuation": 1}),
+    (13, "X^3-2", {**_X, "depth_cap": 1, "disc_valuation": 0}),
+    (13, "X^2-507", {**_H, "depth": 2, "residue": "52", "vdg": 1, "vg": 3}),
+    (13, "X^2-2*X-168", {**_H, "depth": 2, "residue": "14", "vdg": 1, "vg": "inf"}),
+    (13, "X^4-10*X^2+1", {**_H, "depth": 1, "residue": "[4, 1]", "vdg": 0, "vg": 1}),
+    (13, "X^2+X+3", {**_H, "depth": 1, "residue": "[6, 6]", "vdg": 0, "vg": 1}),
+    (13, "X^4+2*X^3+3*X^2+2*X+170", {**_H, "depth": 2, "residue": "16", "vdg": 1, "vg": 3}),
+    # k_P = F_361, above it: every node's reduction is split
+    (19, "X^2-X-3", {**_H, "depth": 1, "residue": "[10, 2]", "vdg": 0, "vg": 1}),
+    (19, "X^3-2", {**_X, "depth_cap": 1, "disc_valuation": 0}),
+    (19, "X^2-1083", {**_H, "depth": 2, "residue": "[0, 133]", "vdg": 1, "vg": 3}),
+    (19, "X^2-722", {**_H, "depth": 2, "residue": "[0, 19]", "vdg": 1, "vg": "inf"}),
+    (19, "X^2-19", {**_X, "depth_cap": 3, "disc_valuation": 1}),
+    (19, "X^4-10*X^2+1", {**_H, "depth": 1, "residue": "[0, 6]", "vdg": 0, "vg": 1}),
+    (19, "X^2+X+3", {**_H, "depth": 1, "residue": "[9, 1]", "vdg": 0, "vg": 1}),
+    (19, "X^4-8*X^2+2212", {**_X, "depth_cap": 1, "disc_valuation": 0}),
+])
+def test_certificates_at_inert_primes_of_sqrt2_are_pinned(p, text, cert):
+    # the certificates found when every reduction was scanned at every residue
+    (P,) = primes_above(SQRT2, p)
+    assert P.residue_field.order == p * p
+    g = kp(SQRT2, text)
+    r = has_root_in_closure(P, g)
+    assert r.certificate == cert
+    assert verify_root_report(P, g, r)
+
+
 # --- deep inputs: the search stays linear in the depth -------------------------
 
 def _x2_minus(K, c):

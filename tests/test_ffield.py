@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -24,7 +25,9 @@ from prime_scope.ffield import (
     poly_factor_mod_p,
     reduce_qpoly_mod_p,
 )
+from prime_scope import localdata
 from prime_scope.localdata import ff_poly_roots
+from prime_scope.numberfield import KPoly
 from prime_scope.qpoly import QPoly, parse_poly
 
 from oracles import oracle_factor_mod_p
@@ -196,8 +199,14 @@ def _brute_roots(F, cs):
     return roots
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("f", [1, 2, 3])
+# every (p, f) with p in 2, 3, 5, 7 and f in 1, 2, 3, then larger fields on
+# both sides of the scan limit of ff_poly_roots: q = 128, 169 below it and
+# q = 243, 256, 289, 512 above it, where the splitter runs
+_ROOT_FIELDS = [(p, f) for f in (1, 2, 3) for p in (2, 3, 5, 7)]
+_ROOT_FIELDS += [(2, 7), (13, 2), (3, 5), (2, 8), (17, 2), (2, 9)]
+
+
+@pytest.mark.parametrize("p, f", _ROOT_FIELDS, ids=[f"{f}-{p}" for p, f in _ROOT_FIELDS])
 def test_ff_poly_roots_match_brute_force(p, f):
     # p = 2 runs the trace splitter, odd p the quadratic-character one
     F = _canonical_ff(p, f)
@@ -296,3 +305,65 @@ def test_finite_field_is_one_object_per_modulus():
     assert FF(3, [1, 0, 1]) is F
     assert (F.p, F.f, F.modulus) == (3, 2, (1, 0, 1))
     assert FF(3, (2, 2, 1)) is not F
+
+
+def test_roots_above_the_scan_limit_are_split(monkeypatch):
+    # q = 243, 256, 289, 343 and 512 lie above the limit; the splitter finds
+    # the roots without a single evaluation of the polynomial
+    calls = []
+    monkeypatch.setattr(KPoly, "__call__", lambda g, x: calls.append(x))
+    for p, f in [(3, 5), (2, 8), (17, 2), (7, 3), (2, 9)]:
+        F = _canonical_ff(p, f)
+        assert F.order > localdata._SCAN_LIMIT
+        r, s = F.element([1, 1]), F.element([0, 2 % p, 1])
+        cs = _ff_mul([-r, F.one()], [-s, F.one()], F)
+        assert ff_poly_roots(F, cs) == sorted({r, s}, key=lambda x: x.key())
+    assert not calls
+
+
+def test_ffelem_operands_are_checked():
+    F9, F5 = FF(3, (1, 0, 1)), FF(5, (0, 1))
+    a = F9.element([0, 1])
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(a, F5.one())
+        with pytest.raises(TypeError):
+            op(a, "x")
+    # a KPoly operand reaches KPoly's reflected methods
+    g = KPoly(F9, [F9.one(), a, F9.one()])
+    assert a * g == g * a == KPoly(F9, [a, a * a, a])
+    assert a + g == g + a
+    assert a - g == -(g - a)
+
+
+def test_ffelem_product_is_the_reduced_polynomial_product():
+    for p, f in [(2, 3), (3, 3), (5, 2), (7, 1)]:
+        F = _canonical_ff(p, f)
+        xs = list(F.elements())
+        for a in xs:
+            for b in xs[:: max(1, len(xs) // 9)]:
+                want = fmod(fmul(fred(a.coeffs, p), fred(b.coeffs, p), p), F.modulus, p)
+                assert a * b == F.element(want)
+
+
+def test_trace_splitter_tries_only_a_basis(monkeypatch):
+    # over F_(2^10), T(aY) separates the roots 0 and d exactly when
+    # T(a d) = 1; for this d that fails for every a in the span of
+    # 1, Y, ..., Y^8 (the keys below 512) and holds for a = Y^9
+    F = _canonical_ff(2, 10)
+
+    def trace(z):
+        acc, w = F.zero(), z
+        for _ in range(F.f):
+            acc, w = acc + w, w * w
+        return acc
+
+    basis = [F.element([0] * i + [1]) for i in range(F.f)]
+    d = next(z for z in F.elements()
+             if not any(trace(b * z) for b in basis[:9]) and trace(basis[9] * z))
+    gcds = []
+    gcd = KPoly.gcd
+    monkeypatch.setattr(KPoly, "gcd", lambda g, h: gcds.append(g) or gcd(g, h))
+    assert ff_poly_roots(F, [F.zero(), -d, F.one()]) == [F.zero(), d]
+    # one gcd keeps the split part, then one per shift: Y, Y^2, ..., Y^9
+    assert len(gcds) == 1 + 9

@@ -1,7 +1,8 @@
 """Source rules checked on the package ASTs: no module imports a private name
 from a sibling, every private module-level function is used in its module,
 no function re-imports from a sibling its module imports at top level, no
-assert statement stands in for a self-check, and every parameter is read."""
+assert statement stands in for a self-check, every parameter is read, and
+only the root finder loops over a whole finite field."""
 
 import ast
 import pathlib
@@ -117,3 +118,22 @@ def test_every_parameter_is_read_in_its_function():
                 if name not in read and name not in ("self", "cls")
             ]
     assert not unread, unread
+
+
+def test_only_the_root_finder_walks_a_whole_finite_field():
+    # FF.elements() is linear in q; ff_poly_roots calls it only on fields
+    # below its scan limit, and every other caller asks ff_poly_roots
+    allowed = set()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "localdata.py":
+            (fn,) = [f for f in tree.body if getattr(f, "name", None) == "ff_poly_roots"]
+            allowed = {id(node) for node in ast.walk(fn)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "elements"
+            and id(node) not in allowed
+        ]
+    assert allowed and not found, found

@@ -172,6 +172,21 @@ def test_reducible_sextic_names_both_cubics(wall_clock_limit):
 
 # --- element arithmetic -----------------------------------------------------
 
+def test_scalar_on_the_left_of_a_kpoly():
+    # an operand FieldElement cannot take is left to KPoly's reflected methods
+    K = nf_create("X^2+1")
+    i = K.element([0, 1])
+    g = KPoly(K, [K.rational(2), i, K.one()])
+    assert i * g == g * i == KPoly(K, [2 * i, -K.one(), i])
+    assert i + g == g + i
+    assert i - g == -(g - i)
+    assert 3 - i == -(i - 3) and 1 / i == -i
+    with pytest.raises(TypeError):
+        i * "x"
+    with pytest.raises(ValueError):
+        i + nf_create("X^2-2").element([0, 1])
+
+
 def test_gaussian_inverse():
     K = nf_create("X^2+1")
     one_plus_i = K.element([1, 1])

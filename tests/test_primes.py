@@ -317,6 +317,45 @@ def test_chi_member_examples():
     assert not chi_member(P, tau, t25, two)  # 25/5 = 5 is not a unit
 
 
+def _chi_member_by_powers(P, tau, t, s):
+    """chi_member as first written: s^n - 1 formed in K and its valuation
+    taken, for every proper divisor n of p^f - 1 in turn."""
+    lead = t**tau.e * P.field.rational(P.p).inverse()
+    if lead.is_zero or P.valuation(lead) != 0:
+        return False
+    if s.is_zero or P.valuation(s) != 0:
+        return False
+    m = P.p**tau.f - 1
+    for n in range(1, m):
+        if m % n:
+            continue
+        w = s**n - P.field.one()
+        if w.is_zero or P.valuation(w) != 0:
+            return False
+    return True
+
+
+def test_chi_member_agrees_with_powers_in_k():
+    rng = random.Random(19)
+    total = hits = 0
+    for text in ("X", "X^2+1", "X^3-2"):
+        K = nf_create(text)
+        for p in (3, 5, 7, 13):
+            for P in primes_above(K, p):
+                for tau in (PrimeType(P.e, P.f), PrimeType(1, 1), PrimeType(1, 2)):
+                    if p ** tau.f > 2200:
+                        continue
+                    for _ in range(12):
+                        t = K.element([rng.randint(-p, p) for _ in range(K.degree)])
+                        s = K.element([rng.randint(-6, 6) for _ in range(K.degree)])
+                        if rng.random() < 0.5:
+                            t = K.rational(p)
+                        want = _chi_member_by_powers(P, tau, t, s)
+                        assert chi_member(P, tau, t, s) == want, (text, p, tau, t, s)
+                        total, hits = total + 1, hits + want
+    assert total > 300 and hits > 50, (total, hits)
+
+
 def test_chi_member_ordering_always_true():
     O = RAT.orderings()[0]
     assert chi_member(O, PrimeType(3, 4), RAT.zero(), RAT.zero())
