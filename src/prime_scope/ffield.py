@@ -12,10 +12,10 @@ its elements are coefficient tuples of length f; the residue field at a prime
 P of a number field is F_p[X]/(hbar_P) in exactly this form, and
 ``irreducible_poly`` gives a canonical modulus of each degree.
 
-``fpowmod`` runs each square-and-multiply step as one fused product and
-reduction by the monic form of its modulus, on plain ints, reducing each
-coefficient mod p once; Frobenius powers X^(p^d) are the factorizer's main
-cost.
+``fpowmod`` runs qpoly's one powering loop with each product one fused
+product and reduction by the monic form of its modulus, on plain ints,
+reducing each coefficient mod p once; Frobenius powers X^(p^d) are the
+factorizer's main cost.
 
 Factorization is squarefree split + distinct-degree + equal-degree
 (Cantor-Zassenhaus); a polynomial coprime to its derivative goes straight to
@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotPIntegral, Unsupported, ZeroElement, check
-from .qpoly import QPoly
+from .qpoly import QPoly, power
 
 FPoly = tuple[int, ...]
 
@@ -258,16 +258,8 @@ def _fmulmod_monic(x: FPoly, y: FPoly, neg: list[int], p: int) -> FPoly:
 
 def fpowmod(a: FPoly, e: int, m: FPoly, p: int) -> FPoly:
     """a^e mod (m, p); a non-monic m leaves the same remainders as fmonic(m)."""
-    result: FPoly = (1,)
-    a = fmod(a, m, p)
     neg = [-c for c in fmonic(m, p)[:-1]]
-    while e:
-        if e & 1:
-            result = _fmulmod_monic(result, a, neg, p)
-        e >>= 1
-        if e:
-            a = _fmulmod_monic(a, a, neg, p)
-    return result
+    return power(fmod(a, m, p), e, (1,), lambda x, y: _fmulmod_monic(x, y, neg, p))
 
 
 def fderiv(a: FPoly, p: int) -> FPoly:

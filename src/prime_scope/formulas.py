@@ -31,7 +31,7 @@ from .errors import FormulaSyntaxError, InverseOfZero, Unsupported
 from .ffield import is_irreducible, is_prime
 from .numberfield import RAT_RE, FieldElement, NumberField, elements_by_height, format_element
 from .primes import PrimeType, holomorphy_member, is_infinite_place, primes_of_type
-from .qpoly import QPoly
+from .qpoly import QPoly, power
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +241,7 @@ class MPoly:
         return MPoly(self.nvars, out)
 
     def __pow__(self, k: int) -> "MPoly":
-        acc = MPoly.const(self.nvars, 1)
-        for _ in range(k):
-            acc = acc * self
-        return acc
+        return power(self, k, MPoly.const(self.nvars, 1))
 
     def substitute(self, args: list) -> "MPoly":
         """Plug MPoly arguments (all in the same target variable set)."""
@@ -673,25 +670,32 @@ _NODE_OF_HEAD = {head: cls for cls, head in _HEADS.items()}
 
 
 def print_formula(node) -> str:
-    """Text form of a formula or a term."""
-    if isinstance(node, TVar):
-        return node.name
-    if isinstance(node, TConst):
-        v = node.value
-        return "[" + ", ".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v)
-    head = _HEADS.get(type(node))
-    if head is None:
-        raise TypeError(f"not a formula node: {type(node).__name__}")
-    parts = [head]
-    for f in fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, str):
-            parts.append(v)
-        elif isinstance(v, tuple):
-            parts.extend(map(print_formula, v))
+    """Text form of a formula or a term.  Written from an explicit stack of
+    nodes and literal strings, so a deep term (chi's s^((p-1)/2) is a
+    left-nested product of that depth) cannot overflow the Python stack."""
+    out: list[str] = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, TVar):
+            out.append(item.name)
+        elif isinstance(item, TConst):
+            v = item.value
+            out.append("[" + ", ".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v))
         else:
-            parts.append(print_formula(v))
-    return "(" + " ".join(parts) + ")"
+            head = _HEADS.get(type(item))
+            if head is None:
+                raise TypeError(f"not a formula node: {type(item).__name__}")
+            seq = ["(" + head]
+            for f in fields(item):
+                v = getattr(item, f.name)
+                for part in v if isinstance(v, tuple) else (v,):
+                    seq += [" ", part]
+            seq.append(")")
+            stack.extend(reversed(seq))
+    return "".join(out)
 
 
 _SYM = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")

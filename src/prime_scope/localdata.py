@@ -29,7 +29,7 @@ from .ffield import (
     hensel_lift,
 )
 from .numberfield import KPoly
-from .qpoly import QPoly
+from .qpoly import QPoly, power
 
 
 def _as_ints(f: QPoly) -> list[int]:
@@ -115,13 +115,7 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     x = KPoly(field, [field.zero(), field.one()])
 
     def powmod(base: KPoly, k: int, mod: KPoly) -> KPoly:
-        result, base = one, base % mod
-        while k:
-            if k & 1:
-                result = result * base % mod
-            base = base * base % mod
-            k >>= 1
-        return result
+        return power(base % mod, k, one, lambda a, b: a * b % mod)
 
     def proper_factor(g: KPoly) -> KPoly | None:
         # g is monic and squarefree, a product of at least two distinct

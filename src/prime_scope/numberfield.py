@@ -38,6 +38,7 @@ from .qpoly import (
     QPoly,
     format_poly,
     parse_poly,
+    power,
     rationals_of_height,
     remainder_chain,
     sign_changes,
@@ -311,13 +312,7 @@ class FieldElement:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result, base = self.field.one(), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self.field.one())
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -11,19 +11,41 @@ alone (sign_at, isolate_real_roots, ...) are QPoly's too.  No floats anywhere.
 One Euclidean loop, remainder_chain, serves both classes: the gcd,
 squarefree part, resultant and signed remainder sequence read its chain, and
 field inverses fold its quotients.
+
+One powering loop, power, serves every ring of the package: FieldElement,
+QPoly and KPoly, MPoly, and the modular powers of ffield and localdata.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import FormulaSyntaxError, check
 
 Q = Fraction
+
+
+def power(x, k: int, one, mul: Callable = operator.mul):
+    """x^k for k >= 0, and `one` for k = 0, by left-to-right binary powering
+    (Knuth, TAOCP vol. 2, 4.6.3): a square per bit of k after the top one and
+    a product by x per set bit among them, floor(log2 k) + popcount(k) - 1
+    products in all, each made by mul (the ring's * unless a reduction has to
+    follow it)."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    if not k:
+        return one
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 def _normalize(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -175,15 +197,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base = self._new([self._one()]), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, self._new([self._one()]))
 
     def __divmod__(self, other):
         other = self._coerce(other)
@@ -194,11 +208,16 @@ class QPoly:
         d, b = other.degree, other.coeffs
         q = [self._zero()] * max(0, self.degree - d + 1)
         rem = list(self.coeffs)
-        inv = self._inverse(b[-1])
+        # 1/lc(other), formed at the first division step; a monic divisor
+        # needs no inversion (compared with the ring's one: FFElem != 1)
+        inv = None
         while len(rem) > d:
             if not rem[-1]:
                 rem.pop()
                 continue
+            if inv is None:
+                one = self._one()
+                inv = one if b[-1] == one else self._inverse(b[-1])
             k = len(rem) - 1 - d
             f = rem[-1] * inv
             q[k] = f

@@ -262,6 +262,16 @@ def _main_json(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def test_emit_chi_at_a_large_prime_answers_fast(wall_clock_limit, capsys):
+    # chi writes s^((p-1)/2) as a left-nested product 5003 terms deep
+    with wall_clock_limit(2):
+        code, out = _main_json(capsys, "formula", "emit-chi", "--p", "10007", "--taue", "1",
+                               "--tauf", "1")
+    assert code == 0
+    assert out["formula"].startswith("(and (and (R (* t 1/10007))")
+    assert "(* " * 5002 + "s s)" in out["formula"]
+
+
 def test_closure_root_at_a_large_inert_prime_answers_fast(wall_clock_limit, capsys):
     # k_P = F_(10007^2): a scan of the residue field takes 10^8 evaluations
     # per node; the root finder splits the reduction instead

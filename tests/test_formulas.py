@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from dataclasses import fields
 
 import pytest
 from fractions import Fraction
@@ -305,6 +307,42 @@ def test_chi_2_11_has_empty_divisor_block():
 def test_chi_ramified_type_powers_t():
     got = print_formula(emit_chi(2, PrimeType(2, 1)))
     assert got.startswith("(and (and (R (* (* t t) 1/2))")
+
+
+def _print_recursively(node) -> str:
+    """Reference printer: one Python frame per level of nesting."""
+    if isinstance(node, TVar):
+        return node.name
+    if isinstance(node, TConst):
+        v = node.value
+        return "[" + ", ".join(map(str, v)) + "]" if isinstance(v, tuple) else str(v)
+    parts = [formulas_module._HEADS[type(node)]]
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, str):
+            parts.append(v)
+        elif isinstance(v, tuple):
+            parts.extend(map(_print_recursively, v))
+        else:
+            parts.append(_print_recursively(v))
+    return "(" + " ".join(parts) + ")"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name.startswith(("chi_", "nu_")))
+)
+def test_printer_agrees_with_the_recursive_one_on_golden_formulas(name):
+    text = (GOLDEN_DIR / name).read_text().rstrip("\n")
+    node = parse_formula(text)
+    assert print_formula(node) == _print_recursively(node) == text
+
+
+def test_printer_writes_a_term_deeper_than_the_recursion_limit():
+    depth = 3 * sys.getrecursionlimit()
+    term = TVar("s")
+    for _ in range(depth):
+        term = TMul(term, TVar("s"))
+    assert print_formula(FR(term)) == "(R " + "(* " * depth + "s" + " s)" * depth + ")"
 
 
 def test_nu_5_11_1_shape():

@@ -1,8 +1,9 @@
 """Source rules checked on the package ASTs: no module imports a private name
 from a sibling, every private module-level function is used in its module,
 no function re-imports from a sibling its module imports at top level, no
-assert statement stands in for a self-check, every parameter is read, and
-only the root finder loops over a whole finite field."""
+assert statement stands in for a self-check, every parameter is read, only
+the root finder loops over a whole finite field, and only qpoly.power runs a
+square-and-multiply loop."""
 
 import ast
 import pathlib
@@ -136,4 +137,62 @@ def test_only_the_root_finder_walks_a_whole_finite_field():
             if isinstance(node, ast.Attribute) and node.attr == "elements"
             and id(node) not in allowed
         ]
+    assert allowed and not found, found
+
+
+def _squares(node) -> bool:
+    """x * x, x ** 2, or a call with two equal leading arguments (mul(x, x))."""
+    if isinstance(node, ast.BinOp):
+        if isinstance(node.op, ast.Mult):
+            return ast.dump(node.left) == ast.dump(node.right)
+        return isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2
+    return isinstance(node, ast.Call) and len(node.args) >= 2 and (
+        ast.dump(node.args[0]) == ast.dump(node.args[1])
+    )
+
+
+def _reads_a_bit(node) -> bool:
+    """e & 1, e >> 1, e % 2, e // 2, e >>= 1, e //= 2, bin(e) or divmod(e, 2)."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        if isinstance(node.op, (ast.BitAnd, ast.RShift)):
+            return True
+        operand = node.right if isinstance(node, ast.BinOp) else node.value
+        return isinstance(node.op, (ast.Mod, ast.FloorDiv)) and getattr(operand, "value", None) == 2
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("bin", "divmod")
+    )
+
+
+def _own_nodes(loop) -> list:
+    """The nodes of a loop's body outside the loops nested in it."""
+    out, todo = [], list(loop.body) + list(loop.orelse)
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if not isinstance(node, (ast.For, ast.While)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_only_the_power_kernel_squares_and_multiplies():
+    # every power x^k, modular or not, goes through qpoly.power; a loop that
+    # shifts with >>=, or squares and reads a bit of an exponent, is a second
+    # powering loop
+    allowed = set()
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "qpoly.py":
+            (fn,) = [f for f in tree.body if getattr(f, "name", None) == "power"]
+            allowed = {id(node) for node in ast.walk(fn)}
+        for loop in ast.walk(tree):
+            if not isinstance(loop, (ast.For, ast.While)) or id(loop) in allowed:
+                continue
+            body = _own_nodes(loop)
+            shifts = any(
+                isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift) for n in body
+            )
+            if shifts or (any(map(_squares, body)) and any(map(_reads_a_bit, body))):
+                found.append(f"{path.name}:{loop.lineno}")
     assert allowed and not found, found

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from prime_scope.ffield import FF, fadd, fdivmod, fgcd, fmul, fred, fsub
-from prime_scope.numberfield import KPoly, nf_create
+import prime_scope.ffield as ffield
+import prime_scope.localdata as localdata
+from prime_scope.ffield import FF, FFElem, fadd, fdivmod, fgcd, fmod, fmul, fpowmod, fred, fsub
+from prime_scope.formulas import MPoly
+from prime_scope.numberfield import FieldElement, KPoly, nf_create
 from prime_scope.qpoly import (
     QPoly,
     cyclotomic,
     format_poly,
     parse_poly,
     poly_resultant,
+    power,
     rationals_by_height,
     sturm_sequence,
 )
@@ -408,3 +413,146 @@ def test_rational_enumeration_hits_one_fifth_late():
             break
         seen.append(None)
     assert Fraction(1, 5) in seen
+
+
+# --- the one powering loop --------------------------------------------------
+
+def _products(k):
+    """floor(log2 k) + popcount(k) - 1: left-to-right binary powering."""
+    return k.bit_length() + bin(k).count("1") - 2 if k else 0
+
+
+def _repeated(x, k, one, mul):
+    acc = one
+    for _ in range(k):
+        acc = mul(acc, x)
+    return acc
+
+
+_RATIONALS, _CBRT2 = nf_create("X"), nf_create("X^3-2")
+_F9_Y = F9.element([0, 1])
+# F_(3^4) = F_3[Y]/(Y^4 + Y + 2), for fpowmod's fused product-and-reduce
+_M81 = (2, 1, 0, 0, 1)
+# (x, one, product) for each ring the kernel serves
+_RINGS = {
+    "Q": (_RATIONALS.rational(Fraction(-3, 2)), _RATIONALS.one(), operator.mul),
+    "Q(i)": (GAUSS.element([1, 1]), GAUSS.one(), operator.mul),
+    "Q(cbrt 2)": (_CBRT2.element([1, Fraction(1, 2), -1]), _CBRT2.one(), operator.mul),
+    "QPoly": (P(1, Fraction(-2, 3), 1), P(1), operator.mul),
+    "KPoly over F_9": (KPoly(F9, [_F9_Y, F9.one(), _F9_Y]), KPoly(F9, [F9.one()]), operator.mul),
+    "MPoly": (MPoly(2, {(1, 0): 1, (0, 1): Fraction(-2)}), MPoly.const(2, 1), operator.mul),
+    "fpowmod": ((2, 1, 2), (1,), lambda a, b: fmod(fmul(a, b, 3), _M81, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RINGS))
+def test_power_matches_repeated_products_with_the_binary_count(name):
+    x, one, mul = _RINGS[name]
+    for k in range(65):
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        got = power(x, k, one, counted)
+        assert got == _repeated(x, k, one, mul), (name, k)
+        assert len(calls) == _products(k), (name, k)
+    assert power(x, 0, one) is one
+
+
+def _count_calls(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,owner,attr", [
+    ("Q", FieldElement, "__mul__"),
+    ("Q(i)", FieldElement, "__mul__"),
+    ("Q(cbrt 2)", FieldElement, "__mul__"),
+    ("QPoly", QPoly, "__mul__"),
+    ("KPoly over F_9", QPoly, "__mul__"),
+    ("MPoly", MPoly, "__mul__"),
+    ("fpowmod", ffield, "_fmulmod_monic"),
+])
+def test_each_pow_runs_the_kernel(name, owner, attr, monkeypatch):
+    x, one, mul = _RINGS[name]
+    expect = [_repeated(x, k, one, mul) for k in range(65)]
+    calls = _count_calls(monkeypatch, owner, attr)
+    for k in range(65):
+        calls.clear()
+        got = fpowmod(x, k, _M81, 3) if name == "fpowmod" else x ** k
+        assert got == expect[k], (name, k)
+        assert len(calls) == _products(k), (name, k)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(cbrt 2)"])
+def test_negative_powers_of_field_elements_invert(name):
+    x, one, _ = _RINGS[name]
+    for k in range(1, 9):
+        assert x ** -k == (x ** k).inverse()
+        assert x ** -k * x ** k == one
+
+
+@pytest.mark.parametrize("name", ["QPoly", "KPoly over F_9", "MPoly"])
+def test_negative_powers_of_polynomials_raise(name):
+    x = _RINGS[name][0]
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(ValueError):
+        power(x, -2, _RINGS[name][1])
+
+
+_F243 = FF(3, (1, 2, 0, 0, 0, 1))  # F_3[Y]/(Y^5 + 2Y + 1)
+
+
+def test_divmod_inverts_the_leading_coefficient_only_when_not_one(monkeypatch):
+    F = _F243
+    y, one = F.element([0, 1]), F.one()
+    a = KPoly(F, [y, one, y, y + one, one, y, one])
+    inverses = _count_calls(monkeypatch, FFElem, "inverse")
+    for lc, expect in ((one, 0), (y, 1)):
+        inverses.clear()
+        g = KPoly(F, [one + y, y, lc])
+        q, r = divmod(a, g)
+        assert q * g + r == a and r.degree < 2
+        assert len(inverses) == expect
+    # a divisor above the dividend's degree takes no division step
+    inverses.clear()
+    assert divmod(KPoly(F, [y]), KPoly(F, [one, y])) == (KPoly(F, []), KPoly(F, [y]))
+    assert not inverses
+
+
+def test_split_at_q_243_finds_the_scanned_roots_without_inverting_the_modulus(monkeypatch):
+    # above the scan limit ff_poly_roots splits by powers mod monic moduli;
+    # a scan of all 243 elements is the referee
+    F = _F243
+    y, one = F.element([0, 1]), F.one()
+    h = KPoly(F, [one])
+    for r in (y, y + one, -(y * y), F.zero()):
+        h = h * KPoly(F, [-r, one])
+    h = h * KPoly(F, [one, F.zero(), one])  # Y^2 + 1: no root in F_(3^5)
+    coeffs = list(h.coeffs)
+    inverses = _count_calls(monkeypatch, FFElem, "inverse")
+    powmods = []
+    original = KPoly.__mod__
+
+    def counted_mod(a, b):
+        before = len(inverses)
+        out = original(a, b)
+        powmods.append(len(inverses) - before)
+        return out
+
+    monkeypatch.setattr(KPoly, "__mod__", counted_mod)
+    split = localdata.ff_poly_roots(F, coeffs)
+    assert powmods and not any(powmods)
+    monkeypatch.setattr(localdata, "_SCAN_LIMIT", F.order)
+    scanned = localdata.ff_poly_roots(F, coeffs)
+    assert split == scanned == sorted([y, y + one, -(y * y), F.zero()], key=lambda r: r.key())
