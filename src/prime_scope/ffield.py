@@ -14,14 +14,19 @@ P of a number field is F_p[X]/(hbar_P) in exactly this form, and
 
 ``fpowmod`` runs qpoly's one powering loop with each product one fused
 product and reduction by the monic form of its modulus, on plain ints,
-reducing each coefficient mod p once; Frobenius powers X^(p^d) are the
-factorizer's main cost.
+reducing each coefficient mod p once.
 
 Factorization is squarefree split + distinct-degree + equal-degree
 (Cantor-Zassenhaus); a polynomial coprime to its derivative goes straight to
-the distinct-degree split.  The equal-degree randomness is drawn from a PRNG
-seeded deterministically from the input polynomial and p, so results never
-depend on run order, and made only when an equal-degree split runs.
+the distinct-degree split.  For p <= SCAN_LIMIT, the order up to which
+localdata.ff_poly_roots scans a residue field, the distinct-degree stage
+takes the linear factors from one scan of F_p (``fp_roots``: Horner on every
+element at once) and divides them out; the root-free cofactor is irreducible
+below degree 4, and only from degree 4 up does it take Frobenius powers
+X^(p^d), from d = 2.  So below the limit no equal-degree split runs for a
+linear factor.  The equal-degree randomness is drawn from a PRNG seeded
+deterministically from the input polynomial and p, so results never depend
+on run order, and made only when an equal-degree split runs.
 ``hensel_lift`` lifts a factorization into pairwise coprime factors mod p to
 one mod p^N by quadratic steps, reverifying the product and Bezout
 identities at each step; it serves both the block lifts at a prime of a
@@ -331,6 +336,22 @@ def reduce_qpoly_mod_p(g: QPoly, p: int) -> FPoly:
     return ftrim(out)
 
 
+# F_p and the residue fields F_q of localdata.ff_poly_roots are scanned up to
+# this order, larger ones split (BENCH_rootfind.json)
+SCAN_LIMIT = 200
+
+
+def fp_roots(a: FPoly, p: int) -> list[int]:
+    """The roots in [0, p) of a nonzero polynomial over F_p, ascending: one
+    Horner pass over all of F_p at once, a list comprehension per
+    coefficient, so linear in p (callers keep p <= SCAN_LIMIT)."""
+    xs = range(p)
+    acc = [a[-1]] * p
+    for c in reversed(a[:-1]):
+        acc = [(v * x + c) % p for v, x in zip(acc, xs)]
+    return [x for x, v in zip(xs, acc) if not v]
+
+
 def _edf_seed(a: FPoly, p: int) -> int:
     seed = p
     for c in a:
@@ -409,6 +430,16 @@ def factor_fpoly(a: FPoly, p: int) -> list[tuple[FPoly, int]]:
         x: FPoly = (0, 1)
         frob = x
         d = 1
+        if p <= SCAN_LIMIT:
+            # the linear factors from one scan of F_p; the cofactor has no
+            # root, so it is irreducible below degree 4 and otherwise enters
+            # the split at d = 2 with X^p mod it
+            for r in fp_roots(g, p):
+                out.append(((-r) % p, 1))
+                g = fdivmod(g, out[-1], p)[0]
+            d = 2
+            if len(g) - 1 >= 2 * d:
+                frob = fpowmod(x, p, g, p)
         while len(g) - 1 >= 2 * d:
             frob = fpowmod(frob, p, g, p)
             h = fgcd(fsub(frob, x, p), g, p)

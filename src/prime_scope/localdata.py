@@ -20,6 +20,7 @@ from .errors import ZeroElement, check
 from .ffield import (
     FF,
     FFElem,
+    SCAN_LIMIT,
     fdivmod,
     fgcd,
     fmul,
@@ -92,14 +93,10 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
 # polynomial roots over a finite field (deterministic)
 # ---------------------------------------------------------------------------
 
-# fields up to this order are scanned, larger ones split (BENCH_rootfind.json)
-_SCAN_LIMIT = 200
-
-
 def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     """All roots in `field` of a polynomial with FFElem coefficients, sorted
     by the canonical element key; the one root finder over F_q.  A field of
-    order q <= _SCAN_LIMIT is scanned in key order.  A larger one is split
+    order q <= SCAN_LIMIT is scanned in key order.  A larger one is split
     deterministically, in memory independent of q: for odd p by the shifts a
     in key order, those outside F_p (keys p, ..., q-1) first, since for even
     f every element of F_p is a square in F_q and never separates two roots
@@ -109,7 +106,7 @@ def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
         raise ZeroElement("root set of the zero polynomial")
     if h.degree == 0:
         return []
-    if q <= _SCAN_LIMIT:
+    if q <= SCAN_LIMIT:
         return [r for r in field.elements() if not h(r)]
     one = KPoly(field, [field.one()])
     x = KPoly(field, [field.zero(), field.one()])

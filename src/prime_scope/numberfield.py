@@ -36,14 +36,15 @@ from .ffield import (
 )
 from .qpoly import (
     QPoly,
+    chain_signs,
     format_poly,
+    integer_sturm_chain,
     parse_poly,
     power,
     rationals_of_height,
     remainder_chain,
     sign_changes,
     sturm_sequence,
-    variations,
 )
 
 # the number of good primes (f squarefree mod p) certify_irreducible factors
@@ -385,19 +386,20 @@ class Ordering:
 
         x = g(alpha) with g != 0 mod f, as f is irreducible and deg g < deg f.
         The Cauchy index of g/f on (lo, hi), a count on the signed remainder
-        sequence of (f, g), is sign(f'(alpha) g(alpha)) = +-1 for the one
-        root alpha of f there, and f'(alpha) has the sign of f(hi)."""
+        sequence of (f, g), read on its integer form, is
+        sign(f'(alpha) g(alpha)) = +-1 for the one root alpha of f there,
+        and f'(alpha) has the sign of f(hi)."""
         if x.is_zero:
             return 0
         g = x.as_qpoly()
         if g.degree == 0:
             c = g.coeff(0)
             return 1 if c > 0 else -1
-        f = self.field.poly
-        seq = sturm_sequence(f, g)
-        index = variations(seq, self._lo) - variations(seq, self._hi)
+        chain = integer_sturm_chain(self.field.poly, g)
+        at_hi = chain_signs(chain, self._hi)
+        index = sign_changes(chain_signs(chain, self._lo)) - sign_changes(at_hi)
         check(abs(index) == 1, "Cauchy index on an isolating interval is not +-1")
-        return index * f.sign_at(self._hi)
+        return index * at_hi[0]
 
     def to_json(self) -> dict:
         lo, hi = self.interval

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .config import DEFAULT
@@ -85,7 +86,7 @@ class PValuation:
     """A prime of K above the rational prime p, i.e. a normalized p-valuation
     v with v(K^x) = Z.  Carries e, f, the mod-p local factor hbar, the
     residue field F_p[X]/(hbar) (by Dedekind-Kummer, X is the class of the
-    generator), a uniformizer, and Hensel lift data made on first use.
+    generator), and a uniformizer and Hensel lift data made on first use.
 
     `factors` is the factorization of f mod p as (hbar_i, e_i) pairs, this
     prime's at `index`; `lifts` maps a precision N to
@@ -103,12 +104,15 @@ class PValuation:
         self.f = len(hbar) - 1
         self._lifts = lifts
         self.residue_field = FF(p, hbar)
-        if e == 1:
-            self.uniformizer = field.rational(p)
-        else:
-            # h(alpha) for the least lift h of hbar: the ideal (p, h(alpha))
-            # is this prime, and v(p) = e >= 2 forces v(h(alpha)) = 1
-            self.uniformizer = field.element([Fraction(c) for c in hbar])
+
+    @cached_property
+    def uniformizer(self) -> FieldElement:
+        """p when e = 1; otherwise h(alpha) for the least lift h of hbar: the
+        ideal (p, h(alpha)) is this prime, and v(p) = e >= 2 forces
+        v(h(alpha)) = 1.  Made on first use."""
+        if self.e == 1:
+            return self.field.rational(self.p)
+        return self.field.element([Fraction(c) for c in self.hbar])
 
     @property
     def kind(self) -> str:
@@ -247,7 +251,9 @@ def primes_above(K: NumberField, p: int) -> list[PValuation]:
     out = [PValuation(K, p, idx, factors, lifts) for idx in range(len(factors))]
     check(sum(P.e * P.f for P in out) == K.degree, "sum e_i f_i must equal degree")
     for P in out:
-        check(P.valuation(P.uniformizer) == 1, "uniformizer check failed")
+        # an unramified prime's uniformizer is p, of valuation e = 1 by construction
+        if P.e > 1:
+            check(P.valuation(P.uniformizer) == 1, "uniformizer check failed")
     K._prime_cache[p] = tuple(out)
     return out
 

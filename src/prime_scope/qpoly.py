@@ -10,7 +10,12 @@ alone (sign_at, isolate_real_roots, ...) are QPoly's too.  No floats anywhere.
 
 One Euclidean loop, remainder_chain, serves both classes: the gcd,
 squarefree part, resultant and signed remainder sequence read its chain, and
-field inverses fold its quotients.
+field inverses fold its quotients.  Over Q the Sturm counts of root
+isolation and of numberfield's ordering signs run on integers instead:
+integer_sturm_chain gives primitive integer pseudo-remainders, each a
+positive multiple of the matching sturm_sequence element, and chain_signs
+reads their signs at a rational point by integer Horner sums.  The rational
+sturm_sequence serves KPoly, whose coefficients have no integer content.
 
 One powering loop, power, serves every ring of the package: FieldElement,
 QPoly and KPoly, MPoly, and the modular powers of ffield and localdata.
@@ -286,17 +291,9 @@ class QPoly:
 
     # --- real-root machinery -------------------------------------------------
     def sign_at(self, x) -> int:
-        """The sign of self(a/b), b > 0, from the integer Horner sum
-        sum_i c_i L a^i b^(n-i) = L b^n self(a/b), L the positive lcm of the
-        coefficient denominators."""
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
-        L = lcm(*[c.denominator for c in self.coeffs])
-        v, bk = 0, 1
-        for c in reversed(self.coeffs):
-            v = v * a + c.numerator * (L // c.denominator) * bk
-            bk *= b
-        return (v > 0) - (v < 0)
+        """The sign of self at the rational x, read on its primitive integer
+        multiple."""
+        return chain_signs([_primitive(self.coeffs)], x)[0]
 
     def root_bound(self) -> Fraction:
         """Cauchy bound: all real roots lie in (-B, B)."""
@@ -310,27 +307,31 @@ class QPoly:
         real root of self, sorted ascending; endpoints are never roots."""
         if self.degree < 1:
             return []
-        seq = sturm_sequence(self, self.derivative())
+        chain = integer_sturm_chain(self, self.derivative())
         b = self.root_bound()
         lo, hi = -b, b
         # endpoints of the Cauchy box are never roots (strict bound)
-        total = variations(seq, lo) - variations(seq, hi)
+        vlo, vhi = sign_changes(chain_signs(chain, lo)), sign_changes(chain_signs(chain, hi))
         out: list[tuple[Fraction, Fraction]] = []
         # bisection with an explicit stack, left half on top: the intervals
-        # come out ascending however many halvings separate two roots
-        stack = [(lo, hi, total)]
+        # come out ascending however many halvings separate two roots; each
+        # entry carries the variation counts at its ends
+        stack = [(lo, hi, vlo, vhi)]
         while stack:
-            lo, hi, n = stack.pop()
+            lo, hi, vlo, vhi = stack.pop()
+            n = vlo - vhi
             if n == 1:
                 out.append((lo, hi))
             if n <= 1:
                 continue
             mid = (lo + hi) / 2
-            while self.sign_at(mid) == 0:
+            signs = chain_signs(chain, mid)
+            while signs[0] == 0:
                 mid = (lo + mid) / 2  # nudge off the root, stay inside
-            nl = variations(seq, lo) - variations(seq, mid)
-            stack.append((mid, hi, n - nl))
-            stack.append((lo, mid, nl))
+                signs = chain_signs(chain, mid)
+            vmid = sign_changes(signs)
+            stack.append((mid, hi, vmid, vhi))
+            stack.append((lo, mid, vlo, vmid))
         return out
 
 
@@ -355,6 +356,60 @@ def sturm_sequence(p, q):
     of distinct real roots of p there, with no squarefree step, and for a p
     with one simple root x there, sign(p'(x) q(x))."""
     return [-r if i % 4 > 1 else r for i, r in enumerate(remainder_chain(p, q)[0])]
+
+
+def integer_sturm_chain(p: QPoly, q: QPoly) -> list[tuple[int, ...]]:
+    """sturm_sequence(p, q) over Q, p nonzero, on integers: primitive integer
+    polynomials, lowest degree first, each a positive rational multiple of
+    the matching element of the sequence, so the two agree in sign at every
+    point.  The first two are p and q made primitive; then R, the remainder
+    of P_(i-1) by P_i pseudo-divided with |lc(P_i)|, is a positive multiple
+    of P_(i-1) % P_i, and P_(i+1) = -R / content(R)."""
+    chain = [_primitive(f.coeffs) for f in (p, q) if f.coeffs]
+    while len(chain) > 1:
+        a, b = chain[-2:]
+        db, m = len(b) - 1, abs(b[-1])
+        rem = list(a)
+        while len(rem) > db:
+            # rem <- m rem - t X^k b, with t = sign(lc b) times the top
+            # coefficient, which the top term of b cancels
+            t = rem.pop() if b[-1] > 0 else -rem.pop()
+            if t:
+                if m != 1:
+                    rem = [m * c for c in rem]
+                for i, v in enumerate(b[:-1], len(rem) - db):
+                    rem[i] -= t * v
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            break
+        g = -gcd(*rem)
+        chain.append(tuple(c // g for c in rem))
+    return chain
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer multiple of a rational polynomial by a positive
+    rational (the zero polynomial stays empty)."""
+    L = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (L // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def chain_signs(chain: Sequence[Sequence[int]], x) -> list[int]:
+    """The signs of integer polynomials at the rational x = a/b, b > 0, each
+    from the Horner sum sum_i c_i a^i b^(n-i) = b^n P(a/b)."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    out = []
+    for P in chain:
+        v, bk = 0, 1
+        for c in reversed(P):
+            v = v * a + c * bk
+            bk *= b
+        out.append((v > 0) - (v < 0))
+    return out
 
 
 def poly_gcd(a, b):
@@ -390,11 +445,6 @@ def chain_resultant(rems):
         acc = acc * b.lc ** (a.degree - r.degree)
         acc = -acc if a.degree * b.degree % 2 else acc
     return acc
-
-
-def variations(seq: Sequence[QPoly], x) -> int:
-    """Sign variations of a QPoly sequence at the rational x."""
-    return sign_changes([p.sign_at(x) for p in seq])
 
 
 def sign_changes(signs: list[int]) -> int:

@@ -8,18 +8,23 @@ from fractions import Fraction
 
 import pytest
 
+from prime_scope import ffield
 from prime_scope.errors import NotPIntegral, Unsupported, ZeroElement
 from prime_scope.ffield import (
     FF,
+    SCAN_LIMIT,
     factor_fpoly,
     fadd,
+    fderiv,
     fdivmod,
     ff_is_square,
     ffield_order,
+    fgcd,
     fmod,
     fmul,
     fpowmod,
     fred,
+    fp_roots,
     irreducible_poly,
     is_prime,
     poly_factor_mod_p,
@@ -27,7 +32,8 @@ from prime_scope.ffield import (
 )
 from prime_scope import localdata
 from prime_scope.localdata import ff_poly_roots
-from prime_scope.numberfield import KPoly
+from prime_scope.numberfield import KPoly, NumberField
+from prime_scope.primes import primes_above
 from prime_scope.qpoly import QPoly, parse_poly
 
 from oracles import oracle_factor_mod_p
@@ -101,6 +107,74 @@ def test_factor_matches_sympy_oracle_with_multiplicities_divisible_by_p():
             for _ in range(rng.choice([1, p, 2 * p, p + 1, p * p])):
                 a = fmul(a, h, p)
         assert factor_fpoly(a, p) == oracle_factor_mod_p(list(a), p), (a, p)
+
+
+def _random_fpoly(rng, p, deg):
+    """A random nonzero polynomial of degree deg over F_p, not always monic;
+    one in four is divisible by X and one in four has a repeated factor."""
+
+    def draw(d):
+        return tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),)
+
+    shape = rng.randrange(4)
+    if shape == 1:
+        return (0,) + draw(deg - 1)
+    if shape == 2 and deg >= 2:
+        h = draw(deg // 2)
+        return fmul(fmul(h, h, p), draw(deg % 2), p)
+    return draw(deg)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97, 199, 211, 1009])
+def test_factor_matches_the_oracle_on_both_sides_of_the_scan_limit(p):
+    # below the limit the linear factors come from the F_p scan, above it
+    # from Frobenius and the equal-degree split
+    rng = random.Random(7000 + p)
+    for _ in range(40):
+        a = _random_fpoly(rng, p, rng.randint(1, 8))
+        assert factor_fpoly(a, p) == oracle_factor_mod_p(list(a), p), (a, p)
+
+
+def test_fp_roots_are_the_zeros_of_the_polynomial():
+    rng = random.Random(61)
+    for p in (2, 3, 7, 31, 199):
+        for _ in range(20):
+            a = _random_fpoly(rng, p, rng.randint(1, 6))
+            zeros = [x for x in range(p) if not sum(c * x**i for i, c in enumerate(a)) % p]
+            assert fp_roots(a, p) == zeros, (a, p)
+
+
+def test_small_squarefree_factorizations_take_no_frobenius_power(monkeypatch):
+    # below the limit a squarefree input of degree <= 3 is settled by the
+    # scan, and a product of distinct linear factors of any degree draws no
+    # randomness: no X^p mod g and no equal-degree split
+    calls = []
+    monkeypatch.setattr(ffield, "fpowmod", lambda *a: calls.append(a))
+    monkeypatch.setattr(ffield, "_equal_degree_split", lambda *a: calls.append(a))
+    rng = random.Random(62)
+    tried = 0
+    for p in (2, 3, 5, 7, 13, 97, 199):
+        assert p <= SCAN_LIMIT
+        for _ in range(30):
+            a = _random_fpoly(rng, p, rng.randint(1, 3))
+            if fgcd(a, fderiv(a, p), p) == (1,):
+                fs = factor_fpoly(a, p)
+                assert all(m == 1 for _f, m in fs)
+                tried += 1
+        roots = rng.sample(range(p), min(p, 8))
+        a = (1,)
+        for r in roots:
+            a = fmul(a, ((-r) % p, 1), p)
+        assert factor_fpoly(a, p) == sorted((((-r) % p, 1), 1) for r in roots)
+    assert tried > 100 and not calls
+
+
+def test_splitting_at_a_huge_prime_does_not_scan(wall_clock_limit):
+    # p = 10^9 + 7 lies far above the limit: a scan of F_p would take hours
+    K = NumberField(parse_poly("X^4+X+1"))
+    with wall_clock_limit(2):
+        Ps = primes_above(K, 10**9 + 7)
+    assert sum(P.e * P.f for P in Ps) == 4
 
 
 def _ladder_powmod(a, e, m, p):
@@ -314,7 +388,7 @@ def test_roots_above_the_scan_limit_are_split(monkeypatch):
     monkeypatch.setattr(KPoly, "__call__", lambda g, x: calls.append(x))
     for p, f in [(3, 5), (2, 8), (17, 2), (7, 3), (2, 9)]:
         F = _canonical_ff(p, f)
-        assert F.order > localdata._SCAN_LIMIT
+        assert F.order > localdata.SCAN_LIMIT
         r, s = F.element([1, 1]), F.element([0, 2 % p, 1])
         cs = _ff_mul([-r, F.one()], [-s, F.one()], F)
         assert ff_poly_roots(F, cs) == sorted({r, s}, key=lambda x: x.key())

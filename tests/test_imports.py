@@ -2,8 +2,8 @@
 from a sibling, every private module-level function is used in its module,
 no function re-imports from a sibling its module imports at top level, no
 assert statement stands in for a self-check, every parameter is read, only
-the root finder loops over a whole finite field, and only qpoly.power runs a
-square-and-multiply loop."""
+the root finder loops over a whole finite field, one scan limit serves the
+two root finders, and only qpoly.power runs a square-and-multiply loop."""
 
 import ast
 import pathlib
@@ -138,6 +138,32 @@ def test_only_the_root_finder_walks_a_whole_finite_field():
             and id(node) not in allowed
         ]
     assert allowed and not found, found
+
+
+def test_one_scan_limit_read_by_the_two_root_finders():
+    # F_p in factor_fpoly and F_q in ff_poly_roots are scanned up to the same
+    # order of field: the limit is set once, in ffield, and nothing else
+    # compares against it
+    finders = {("ffield.py", "factor_fpoly"), ("localdata.py", "ff_poly_roots")}
+    assigned, compared = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            id(node)
+            for fn in tree.body if (path.name, getattr(fn, "name", None)) in finders
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "SCAN_LIMIT" not in names:
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                assigned.append(path.name)
+            elif isinstance(node, ast.Compare):
+                compared.append((path.name, node.lineno, id(node) in allowed))
+    assert assigned == ["ffield.py"]
+    assert {name for name, _line, _ok in compared} == {"ffield.py", "localdata.py"}
+    assert all(ok for _name, _line, ok in compared), compared
 
 
 def _squares(node) -> bool:

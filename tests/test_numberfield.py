@@ -20,7 +20,7 @@ from prime_scope.numberfield import (
     nf_create,
     parse_element,
 )
-from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height, sturm_sequence, variations
+from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height, sign_changes, sturm_sequence
 from prime_scope.suite import FIELD_CORPUS
 
 from oracles import oracle_distinct_real_root_count, oracle_is_irreducible_over_q
@@ -279,6 +279,11 @@ def test_sign_consistency_with_square():
 
 # the Swinnerton-Dyer polynomial of sqrt2 + sqrt3 + sqrt5: eight real roots
 SWINNERTON_DYER_8 = "X^8-40*X^6+352*X^4-960*X^2+576"
+
+
+def variations(seq, x):
+    """Sign variations of a QPoly sequence at the rational x."""
+    return sign_changes([p.sign_at(x) for p in seq])
 
 
 def _refined_sign(O, x):

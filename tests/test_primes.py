@@ -63,6 +63,40 @@ def test_cold_splitting_of_the_corpus_stays_fast(wall_clock_limit):
             K.orderings()
 
 
+def _count_valuations(monkeypatch):
+    calls = []
+    original = primes_module.PValuation.valuation
+
+    def counted(P, *args):
+        calls.append(P)
+        return original(P, *args)
+
+    monkeypatch.setattr(primes_module.PValuation, "valuation", counted)
+    return calls
+
+
+def test_unramified_splitting_takes_no_valuation(monkeypatch):
+    # for e = 1 the uniformizer is p, and v(p) = e = 1 by construction
+    calls = _count_valuations(monkeypatch)
+    for text, p in [("X^2+1", 5), ("X^2+1", 3), ("X^3-2", 31), ("X^4+X+1", 7), ("X", 2)]:
+        primes = primes_above(NumberField(parse_poly(text)), p)
+        assert all(P.e == 1 for P in primes)
+    assert calls == []
+
+
+def test_each_ramified_prime_checks_its_uniformizer_once(monkeypatch):
+    # Q(i) at 2: one prime with e = 2; Q(cbrt 2) at 3: (X + 1)^3; Q(sqrt 3)
+    # at 3: X^2; X^2 - 7 at 2 and at 7, and X^4 + X + 1 at 229 (the prime
+    # of its discriminant), one ramified and two unramified primes
+    calls = _count_valuations(monkeypatch)
+    ramified = []
+    for text, p in [("X^2+1", 2), ("X^3-2", 3), ("X^2-3", 3), ("X^2-7", 2), ("X^2-7", 7),
+                    ("X^4+X+1", 229)]:
+        primes = primes_above(NumberField(parse_poly(text)), p)
+        ramified += [P for P in primes if P.e > 1]
+    assert len(ramified) == 6 and calls == ramified
+
+
 def test_gaussian_splitting_table():
     at5 = primes_above(GAUSS, 5)
     assert [(P.e, P.f) for P in at5] == [(1, 1), (1, 1)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -13,17 +14,20 @@ import prime_scope.ffield as ffield
 import prime_scope.localdata as localdata
 from prime_scope.ffield import FF, FFElem, fadd, fdivmod, fgcd, fmod, fmul, fpowmod, fred, fsub
 from prime_scope.formulas import MPoly
-from prime_scope.numberfield import FieldElement, KPoly, nf_create
+from prime_scope.numberfield import FieldElement, KPoly, Ordering, nf_create
 from prime_scope.qpoly import (
     QPoly,
     cyclotomic,
     format_poly,
+    integer_sturm_chain,
     parse_poly,
     poly_resultant,
     power,
     rationals_by_height,
+    sign_changes,
     sturm_sequence,
 )
+from prime_scope.suite import FIELD_CORPUS
 
 from oracles import (
     oracle_distinct_real_root_count,
@@ -393,6 +397,105 @@ def test_integer_sign_matches_fraction_horner():
         assert f.sign_at(x) == (v > 0) - (v < 0), (f, x)
 
 
+# --- Sturm chains over Q on integers ----------------------------------------
+
+def variations(seq, x):
+    """Sign variations of a QPoly sequence at the rational x."""
+    return sign_changes([p.sign_at(x) for p in seq])
+
+
+def _fraction_chain_isolation(f):
+    """isolate_real_roots on the Fraction chain sturm_sequence(f, f'), kept
+    as the reference for the integer chain."""
+    if f.degree < 1:
+        return []
+    seq = sturm_sequence(f, f.derivative())
+    b = f.root_bound()
+    lo, hi = -b, b
+    out, stack = [], [(lo, hi, variations(seq, lo) - variations(seq, hi))]
+    while stack:
+        lo, hi, n = stack.pop()
+        if n == 1:
+            out.append((lo, hi))
+        if n <= 1:
+            continue
+        mid = (lo + hi) / 2
+        while f.sign_at(mid) == 0:
+            mid = (lo + mid) / 2
+        nl = variations(seq, lo) - variations(seq, mid)
+        stack.append((mid, hi, n - nl))
+        stack.append((lo, mid, nl))
+    return out
+
+
+def _random_real_rooted(rng):
+    """A rational polynomial of degree 1-8: a product of rational linear
+    factors, some repeated, and random factors with non-integer
+    coefficients, so that some roots are rational, close together or
+    repeated."""
+    f = QPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) or 1])
+    while f.degree < rng.randint(1, 8):
+        if rng.random() < 0.5:
+            r = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4, 3, 7]))
+            f = f * QPoly([-r, 1]) ** rng.choice([1, 1, 2])
+        else:
+            d = rng.randint(1, 3)
+            f = f * QPoly([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d)]
+                          + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))])
+    return f
+
+
+def test_integer_chain_isolates_exactly_like_the_fraction_chain(wall_clock_limit):
+    polys = [parse_poly(text) for text in FIELD_CORPUS]
+    rng = random.Random(2121)
+    polys += [_random_real_rooted(rng) for _ in range(2000)]
+    assert sum(any(c.denominator > 1 for c in f.coeffs) for f in polys) > 500
+    # a chain with a wrong sign can make the bisection run forever
+    with wall_clock_limit(60):
+        for f in polys:
+            assert f.isolate_real_roots() == _fraction_chain_isolation(f), f
+
+
+def test_integer_chain_is_a_positive_multiple_of_the_sturm_sequence():
+    rng = random.Random(2222)
+    for i in range(400):
+        f = _random_real_rooted(rng) if i % 2 else _random_qpoly(rng, rng.randint(1, 7))
+        g = f.derivative() if i % 3 else _random_qpoly(rng, rng.randint(0, 6))
+        if g.is_zero:
+            continue
+        chain, seq = integer_sturm_chain(f, g), sturm_sequence(f, g)
+        assert len(chain) == len(seq)
+        for P, S in zip(chain, seq):
+            assert all(isinstance(c, int) for c in P) and math.gcd(*P) == 1
+            c = P[-1] / S.lc
+            assert c > 0 and QPoly(P) == S * c, (f, g)
+
+
+def test_isolation_and_signs_divide_no_polynomial(monkeypatch):
+    # both read the integer chain; no Fraction division by a QPoly is left
+    rng = random.Random(2323)
+    fields = [nf_create(text) for text in FIELD_CORPUS]
+    elements = [[K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                            for _ in range(K.degree)]) for _ in range(6)] for K in fields]
+    divisions = _count_calls(monkeypatch, QPoly, "__divmod__")
+    signs = []
+    for K, xs in zip(fields, elements):
+        orderings = [Ordering(K, i, lo, hi)
+                     for i, (lo, hi) in enumerate(K.poly.isolate_real_roots())]
+        signs += [(O, x, O.sign(x)) for O in orderings for x in xs]
+    assert not divisions and len(signs) > 100
+    monkeypatch.undo()
+    for O, x, sign in signs:
+        # the Cauchy index on the Fraction chain, times the sign of f at hi
+        f, g = O.field.poly, x.as_qpoly()
+        if g.degree < 1:
+            assert sign == (g.coeff(0) > 0) - (g.coeff(0) < 0)
+            continue
+        seq = sturm_sequence(f, g)
+        index = variations(seq, O.interval[0]) - variations(seq, O.interval[1])
+        assert sign == index * f.sign_at(O.interval[1])
+
+
 def test_rational_enumeration_prefix():
     got = list(islice(rationals_by_height(), 13))
     expect = [
@@ -553,6 +656,6 @@ def test_split_at_q_243_finds_the_scanned_roots_without_inverting_the_modulus(mo
     monkeypatch.setattr(KPoly, "__mod__", counted_mod)
     split = localdata.ff_poly_roots(F, coeffs)
     assert powmods and not any(powmods)
-    monkeypatch.setattr(localdata, "_SCAN_LIMIT", F.order)
+    monkeypatch.setattr(localdata, "SCAN_LIMIT", F.order)
     scanned = localdata.ff_poly_roots(F, coeffs)
     assert split == scanned == sorted([y, y + one, -(y * y), F.zero()], key=lambda r: r.key())
