@@ -9,7 +9,7 @@ the sums-of-squares side (four squares, levels, the Kochen operator).
 
 from .config import Config, DEFAULT
 from .qpoly import QPoly, cyclotomic, parse_poly, format_poly
-from .ffield import FF, FFElem, ffield_order, irreducible_poly, poly_factor_mod_p
+from .ffield import FF, FFElem, poly_factor_mod_p
 from .numberfield import (
     FieldElement,
     KPoly,
@@ -37,7 +37,6 @@ from .closure import RootReport, has_root_in_closure, padic_root
 from .dense import (
     Ball,
     WitnessReport,
-    ball_member,
     d_witness,
     simultaneous_ball,
     ud_witness,
@@ -80,8 +79,6 @@ __all__ = [
     "format_poly",
     "FF",
     "FFElem",
-    "ffield_order",
-    "irreducible_poly",
     "poly_factor_mod_p",
     "FieldElement",
     "KPoly",
@@ -107,7 +104,6 @@ __all__ = [
     "padic_root",
     "Ball",
     "WitnessReport",
-    "ball_member",
     "d_witness",
     "simultaneous_ball",
     "ud_witness",

@@ -107,10 +107,6 @@ def _ball_check(ball: Ball, value: FieldElement):
     return dv > valuation(ball.prime, ball.radius), dv
 
 
-def ball_member(ball: Ball, x: FieldElement) -> bool:
-    ok, _ = _ball_check(ball, x)
-    return ok
-
 # ---------------------------------------------------------------------------
 # the defining membership 1 - g(x)^2 a^(-2) in O_P, checked exactly
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ divisor or a polynomial made monic must have a unit leading coefficient, which
 over F_p means nonzero and mod p^k means prime to p.  A finite field is
 ``FF(p, modulus)`` for a monic irreducible modulus of degree f over F_p, and
 its elements are coefficient tuples of length f; the residue field at a prime
-P of a number field is F_p[X]/(hbar_P) in exactly this form, and
-``irreducible_poly`` gives a canonical modulus of each degree.
+P of a number field is F_p[X]/(hbar_P) in exactly this form.
 
 ``fpowmod`` runs qpoly's one powering loop with each product one fused
 product and reduction by the monic form of its modulus, on plain ints,
@@ -301,26 +300,6 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
-def irreducible_poly(p: int, d: int) -> QPoly:
-    """The canonical monic irreducible of degree d over F_p: candidates are
-    X^d + c_{d-1}X^{d-1} + ... + c_0 scanned with (c_{d-1},...,c_0) as an
-    ascending base-p counter, first irreducible wins."""
-    if not is_prime(p):
-        raise ValueError(f"not a rational prime: {p}")
-    if d < 1:
-        raise ValueError("degree must be positive")
-    for k in range(p ** d):
-        tail = []
-        kk = k
-        for _ in range(d):
-            tail.append(kk % p)
-            kk //= p
-        cand = ftrim(tail + [1])
-        if is_irreducible(cand, p):
-            return QPoly([Fraction(c) for c in cand])
-    raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
 # ---------------------------------------------------------------------------
 # factorization over F_p
 # ---------------------------------------------------------------------------
@@ -596,18 +575,6 @@ class FFElem:
 
     def __repr__(self):
         return f"FFElem({self.field!r},{list(self.coeffs)})"
-
-
-def ffield_order(x: FFElem) -> int:
-    """Multiplicative order; ZeroElement on 0."""
-    if x.is_zero:
-        raise ZeroElement("order of zero requested")
-    n = x.field.order - 1
-    order = n
-    for q in prime_divisors(n):
-        while order % q == 0 and (x ** (order // q)) == x.field.one():
-            order //= q
-    return order
 
 
 def ff_is_square(x: FFElem) -> bool:

@@ -16,11 +16,18 @@ The emitters produce the three families used throughout:
              phi_n(y^(e!) p^i x_i^n) a unit", witnessing that value groups
              are Z-groups.
 
+Every walk over a tree -- parse, substitute, evaluate, the quantifier-free
+test -- is a generator that yields the sub-walk it needs and is resumed with
+that sub-walk's result.  One driver, _run, runs it from an explicit stack, as
+the printer walks its own, so no formula the package prints is too deep to
+read back or evaluate (chi's s^((p-1)/2) is a left-nested product that deep).
+
 Text form is s-expressions; see parse/print near the bottom.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields
@@ -150,6 +157,33 @@ class FEx(Formula):
     body: Formula
 
 
+# ---------------------------------------------------------------------------
+# walking a tree (see the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _run(walk):
+    """The result of a walk generator, its sub-walks run from a stack."""
+    stack, value = [walk], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def _parts(node) -> list:
+    """A node's fields in order, with an argument tuple spliced in."""
+    out = []
+    for f in fields(node):
+        v = getattr(node, f.name)
+        out.extend(v if isinstance(v, tuple) else (v,))
+    return out
+
+
 def r_unit(t: Term) -> Formula:
     """R^x(t) desugared: R(t) and R(t^-1)."""
     return FAnd((FR(t), FR(TInv(t))))
@@ -167,39 +201,19 @@ def substitute(phi: Formula, mapping: dict) -> Formula:
     Substituted terms are expected to be closed (constants), as in every use
     here, so no alpha-renaming is attempted."""
 
-    def form(f: Formula, shadowed: frozenset) -> Formula:
-        if isinstance(f, FEq):
-            return FEq(term_sh(f.a, shadowed), term_sh(f.b, shadowed))
-        if isinstance(f, FR):
-            return FR(term_sh(f.t, shadowed))
-        if isinstance(f, FNot):
-            return FNot(form(f.f, shadowed))
-        if isinstance(f, FAnd):
-            return FAnd(tuple(form(g, shadowed) for g in f.args))
-        if isinstance(f, FOr):
-            return FOr(tuple(form(g, shadowed) for g in f.args))
-        if isinstance(f, FImp):
-            return FImp(form(f.a, shadowed), form(f.b, shadowed))
-        if isinstance(f, (FAll, FEx)):
-            inner = shadowed | {f.var}
-            body = form(f.body, inner)
-            return type(f)(f.var, body)
-        raise TypeError(f"not a formula node: {f!r}")
+    def walk(node, shadowed: frozenset):
+        if isinstance(node, TVar):
+            return node if node.name in shadowed else mapping.get(node.name, node)
+        if isinstance(node, (TConst, str)):
+            return node
+        if isinstance(node, (FAll, FEx)):
+            shadowed = shadowed | {node.var}
+        parts = []
+        for part in _parts(node):
+            parts.append((yield walk(part, shadowed)))
+        return type(node)(parts) if isinstance(node, (FAnd, FOr)) else type(node)(*parts)
 
-    def term_sh(t: Term, shadowed: frozenset) -> Term:
-        if isinstance(t, TVar):
-            if t.name in shadowed:
-                return t
-            return mapping.get(t.name, t)
-        if isinstance(t, TAdd):
-            return TAdd(term_sh(t.a, shadowed), term_sh(t.b, shadowed))
-        if isinstance(t, TMul):
-            return TMul(term_sh(t.a, shadowed), term_sh(t.b, shadowed))
-        if isinstance(t, TInv):
-            return TInv(term_sh(t.a, shadowed))
-        return t
-
-    return form(phi, frozenset())
+    return _run(walk(phi, frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -448,43 +462,44 @@ def emit_nu(p: int, tau: PrimeType, n: int) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def _eval_term(K: NumberField, t: Term, env: dict) -> FieldElement:
-    if isinstance(t, TConst):
-        if isinstance(t.value, tuple):
-            if len(t.value) > K.degree:
-                raise ValueError(f"constant {t!r} does not fit in a degree-{K.degree} field")
-            return K.element(list(t.value) + [Fraction(0)] * (K.degree - len(t.value)))
-        return K.rational(t.value)
-    if isinstance(t, TVar):
-        if t.name not in env:
-            raise ValueError(f"free variable {t.name} in quantifier-free evaluation")
-        return env[t.name]
-    if isinstance(t, TAdd):
-        return _eval_term(K, t.a, env) + _eval_term(K, t.b, env)
-    if isinstance(t, TMul):
-        return _eval_term(K, t.a, env) * _eval_term(K, t.b, env)
-    if isinstance(t, TInv):
-        v = _eval_term(K, t.a, env)
+def _value(K: NumberField, node, env: dict, r_member):
+    """Walk to the value of a term (a FieldElement) or of a quantifier-free
+    formula (a bool).  Operands are taken left to right, and and/or/-> stop
+    at the first one that decides them, so an inverse of zero past it is
+    never evaluated."""
+    if isinstance(node, TConst):
+        v = node.value
+        if isinstance(v, tuple):
+            if len(v) > K.degree:
+                raise ValueError(f"constant {node!r} does not fit in a degree-{K.degree} field")
+            return K.element(list(v) + [Fraction(0)] * (K.degree - len(v)))
+        return K.rational(v)
+    if isinstance(node, TVar):
+        if node.name not in env:
+            raise ValueError(f"free variable {node.name} in quantifier-free evaluation")
+        return env[node.name]
+    if isinstance(node, (TAdd, TMul, FEq)):
+        a = yield _value(K, node.a, env, r_member)
+        b = yield _value(K, node.b, env, r_member)
+        return a + b if isinstance(node, TAdd) else a * b if isinstance(node, TMul) else a == b
+    if isinstance(node, TInv):
+        v = yield _value(K, node.a, env, r_member)
         if v.is_zero:
             raise InverseOfZero("formal inverse of a term evaluating to 0")
         return v.inverse()
-    raise TypeError(f"not a term node: {t!r}")
-
-
-def _eval_qf(K, phi: Formula, env: dict, r_member) -> bool:
-    if isinstance(phi, FEq):
-        return _eval_term(K, phi.a, env) == _eval_term(K, phi.b, env)
-    if isinstance(phi, FR):
-        return r_member(_eval_term(K, phi.t, env))
-    if isinstance(phi, FNot):
-        return not _eval_qf(K, phi.f, env, r_member)
-    if isinstance(phi, FAnd):
-        return all(_eval_qf(K, g, env, r_member) for g in phi.args)
-    if isinstance(phi, FOr):
-        return any(_eval_qf(K, g, env, r_member) for g in phi.args)
-    if isinstance(phi, FImp):
-        return (not _eval_qf(K, phi.a, env, r_member)) or _eval_qf(K, phi.b, env, r_member)
-    raise ValueError("formula is not quantifier-free")
+    if isinstance(node, FR):
+        return r_member((yield _value(K, node.t, env, r_member)))
+    if isinstance(node, FNot):
+        return not (yield _value(K, node.f, env, r_member))
+    if isinstance(node, FImp):
+        node = FOr((FNot(node.a), node.b))
+    if isinstance(node, (FAnd, FOr)):
+        decisive = isinstance(node, FOr)
+        for g in node.args:
+            if bool((yield _value(K, g, env, r_member))) is decisive:
+                return decisive
+        return not decisive
+    raise ValueError(f"not a term or quantifier-free formula: {type(node).__name__}")
 
 
 def eval_qf(K: NumberField, p, tau: PrimeType, phi: Formula, r_member=None) -> bool:
@@ -492,7 +507,7 @@ def eval_qf(K: NumberField, p, tau: PrimeType, phi: Formula, r_member=None) -> b
     holomorphy ring R_p^tau(K) unless a custom r_member predicate is given."""
     if r_member is None:
         r_member = lambda x: holomorphy_member(K, p, tau, x)
-    return _eval_qf(K, phi, {}, r_member)
+    return _run(_value(K, phi, {}, r_member))
 
 
 class EvalVerdict:
@@ -521,19 +536,26 @@ class EvalVerdict:
         return f"EvalVerdict({self.status}{extra})"
 
 
+def _qf_ids(phi: Formula) -> set:
+    """The ids of phi's quantifier-free subformulas, found in one walk."""
+    out = set()
+
+    def walk(f):
+        qf = not isinstance(f, (FAll, FEx))
+        for part in _parts(f):
+            if isinstance(part, Formula):
+                qf = (yield walk(part)) and qf
+        if qf:
+            out.add(id(f))
+        return qf
+
+    _run(walk(phi))
+    return out
+
+
 def is_qf(phi: Formula) -> bool:
     """True when phi contains no quantifier."""
-    if isinstance(phi, (FAll, FEx)):
-        return False
-    if isinstance(phi, (FEq, FR)):
-        return True
-    if isinstance(phi, FNot):
-        return is_qf(phi.f)
-    if isinstance(phi, (FAnd, FOr)):
-        return all(is_qf(g) for g in phi.args)
-    if isinstance(phi, FImp):
-        return is_qf(phi.a) and is_qf(phi.b)
-    raise TypeError(f"not a formula node: {phi!r}")
+    return id(phi) in _qf_ids(phi)
 
 
 def eval_bounded(
@@ -548,60 +570,43 @@ def eval_bounded(
     """
     bound = height_bound if height_bound is not None else DEFAULT.height_bound
     r_member = lambda x: holomorphy_member(K, p, tau, x)
+    qf = _qf_ids(phi)
 
-    def rec(f: Formula, env: dict) -> EvalVerdict:
-        if is_qf(f):
+    def walk(f: Formula, env: dict):
+        if id(f) in qf:
             try:
-                ok = _eval_qf(K, f, env, r_member)
+                ok = _run(_value(K, f, env, r_member))
             except InverseOfZero:
                 return EvalVerdict("Unknown", bound=bound)
             return EvalVerdict("Proven" if ok else "Refuted")
-        if isinstance(f, FEx):
-            for i, cand in enumerate(elements_by_height(K)):
-                if i >= bound:
-                    break
-                sub = rec(f.body, {**env, f.var: cand})
-                if sub.status == "Proven":
-                    return EvalVerdict("Proven", witness=cand)
-            return EvalVerdict("Unknown", bound=bound)
-        if isinstance(f, FAll):
-            for i, cand in enumerate(elements_by_height(K)):
-                if i >= bound:
-                    break
-                sub = rec(f.body, {**env, f.var: cand})
-                if sub.status == "Refuted":
-                    return EvalVerdict("Refuted", witness=cand)
+        if isinstance(f, (FAll, FEx)):
+            # a witness decides an existential, a counterexample a universal
+            decisive = "Proven" if isinstance(f, FEx) else "Refuted"
+            for _, cand in zip(range(bound), elements_by_height(K)):
+                sub = yield walk(f.body, {**env, f.var: cand})
+                if sub.status == decisive:
+                    return EvalVerdict(decisive, witness=cand)
             return EvalVerdict("Unknown", bound=bound)
         if isinstance(f, FNot):
-            sub = rec(f.f, env)
-            if sub.status == "Proven":
-                return EvalVerdict("Refuted")
-            if sub.status == "Refuted":
-                return EvalVerdict("Proven")
-            return sub
-        if isinstance(f, FAnd):
-            unknown = None
-            for g in f.args:
-                sub = rec(g, env)
-                if sub.status == "Refuted":
-                    return sub
-                if sub.status == "Unknown":
-                    unknown = sub
-            return unknown or EvalVerdict("Proven")
-        if isinstance(f, FOr):
-            unknown = None
-            for g in f.args:
-                sub = rec(g, env)
-                if sub.status == "Proven":
-                    return sub
-                if sub.status == "Unknown":
-                    unknown = sub
-            return unknown or EvalVerdict("Refuted")
+            sub = yield walk(f.f, env)
+            if sub.status == "Unknown":
+                return sub
+            return EvalVerdict("Refuted" if sub.status == "Proven" else "Proven")
         if isinstance(f, FImp):
-            return rec(FOr((FNot(f.a), f.b)), env)
+            f = FOr((FNot(f.a), f.b))
+        if isinstance(f, (FAnd, FOr)):
+            decisive = "Proven" if isinstance(f, FOr) else "Refuted"
+            unknown = None
+            for g in f.args:
+                sub = yield walk(g, env)
+                if sub.status == decisive:
+                    return sub
+                if sub.status == "Unknown":
+                    unknown = sub
+            return unknown or EvalVerdict("Refuted" if isinstance(f, FOr) else "Proven")
         raise TypeError(f"not a formula node: {f!r}")
 
-    return rec(phi, {})
+    return _run(walk(phi, {}))
 
 
 def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int) -> EvalVerdict:
@@ -627,15 +632,7 @@ def prove_nu(K: NumberField, p: int, tau: PrimeType, n: int) -> EvalVerdict:
         return EvalVerdict("Proven")
     xs, inner = _nu_parts(p, tau, n)
 
-    def patterns(k: int):
-        if k == 0:
-            yield ()
-            return
-        for rest in patterns(k - 1):
-            for j in range(n):
-                yield rest + (j,)
-
-    for pat in patterns(len(S_eq)):
+    for pat in itertools.product(range(n), repeat=len(S_eq)):
         parts = [([P], P.uniformizer ** j) for P, j in zip(S_eq, pat)]
         y = weak_approx_value(K, parts)
         witness = zgroup_witness(K, p, tau, n, y)
@@ -689,10 +686,8 @@ def print_formula(node) -> str:
             if head is None:
                 raise TypeError(f"not a formula node: {type(item).__name__}")
             seq = ["(" + head]
-            for f in fields(item):
-                v = getattr(item, f.name)
-                for part in v if isinstance(v, tuple) else (v,):
-                    seq += [" ", part]
+            for part in _parts(item):
+                seq += [" ", part]
             seq.append(")")
             stack.extend(reversed(seq))
     return "".join(out)
@@ -766,9 +761,9 @@ class _Parser:
         raise FormulaSyntaxError(f"expected a term at position {at}, got {tok!r}")
 
     def node(self, kind: type):
-        """The next Term or Formula: the head names the node class, whose
-        field annotations ("Term", "Formula", "str" for a bound variable,
-        "tuple" for two or more formulas) say what to read next."""
+        """Walk to the next Term or Formula: the head names the node class,
+        whose field annotations ("Term", "Formula", "str" for a bound
+        variable, "tuple" for two or more formulas) say what to read next."""
         tok, at = self.next()
         if tok != "(":
             if kind is Term:
@@ -790,21 +785,21 @@ class _Parser:
             elif f.type == "tuple":
                 items = []
                 while self.peek()[0] != ")":
-                    items.append(self.node(Formula))
+                    items.append((yield self.node(Formula)))
                 if len(items) < 2:
                     raise FormulaSyntaxError(
                         f"{head} needs at least two arguments at position {hat}"
                     )
                 args.append(items)
             else:
-                args.append(self.node(Term if f.type == "Term" else Formula))
+                args.append((yield self.node(Term if f.type == "Term" else Formula)))
         self.expect(")")
         return cls(*args)
 
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    phi = p.node(Formula)
+    phi = _run(p.node(Formula))
     tok, at = p.peek()
     if tok is not None:
         raise FormulaSyntaxError(f"trailing input at position {at}: {tok!r}")

@@ -3,7 +3,10 @@
 These deliberately avoid the package's own algorithms: factorization and real
 root counts come from sympy, p-adic root existence from an integer-only
 residue-tree search with its own Hensel certificate, written against the
-textbook statements rather than against the package code.
+textbook statements rather than against the package code.  The reference
+helpers at the end (a canonical F_p modulus, a multiplicative order, ball
+membership) are kept here for the tests that use them as referees; the
+package itself has no use for them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ from fractions import Fraction
 
 import sympy
 from sympy import Poly, Symbol
+
+from prime_scope.errors import ZeroElement
+from prime_scope.numberfield import Ordering
+from prime_scope.primes import valuation
+from prime_scope.qpoly import QPoly
 
 X = Symbol("x")
 
@@ -170,3 +178,36 @@ def oracle_dedekind_applies(int_coeffs_ascending, p) -> bool:
     return all(
         not Fbar.rem(Poly(t.as_expr(), X, modulus=p)).is_zero for t, e in lifts if e >= 2
     )
+
+
+def irreducible_poly(p: int, d: int) -> QPoly:
+    """The canonical monic irreducible of degree d over F_p: candidates are
+    X^d + c_{d-1}X^{d-1} + ... + c_0 scanned with (c_{d-1},...,c_0) as an
+    ascending base-p counter, first irreducible by sympy's test wins."""
+    if not sympy.isprime(p):
+        raise ValueError(f"not a rational prime: {p}")
+    if d < 1:
+        raise ValueError("degree must be positive")
+    for k in range(p**d):
+        tail = [k // p**i % p for i in range(d)]
+        if Poly(list(reversed(tail + [1])), X, modulus=p).is_irreducible:
+            return QPoly([Fraction(c) for c in tail + [1]])
+    raise ValueError(f"no monic irreducible of degree {d} over F_{p}")
+
+
+def ffield_order(x) -> int:
+    """Multiplicative order of a finite-field element: the least divisor k
+    of q - 1 with x^k = 1, tried in increasing order; ZeroElement on 0."""
+    if x.is_zero:
+        raise ZeroElement("order of zero requested")
+    n = x.field.order - 1
+    return next(k for k in range(1, n + 1) if n % k == 0 and x**k == x.field.one())
+
+
+def ball_member(ball, x) -> bool:
+    """x in the open ball: v(x - y) > v(z) at a p-adic prime, and
+    |x - y| < |z|, that is z^2 - (x - y)^2 > 0, at an ordering."""
+    d = x - ball.center
+    if isinstance(ball.prime, Ordering):
+        return ball.prime.sign(ball.radius * ball.radius - d * d) > 0
+    return valuation(ball.prime, d) > valuation(ball.prime, ball.radius)

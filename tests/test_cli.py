@@ -3,6 +3,7 @@ wall-clock bound runs cli.main in process."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,43 @@ def test_emit_chi_at_a_large_prime_answers_fast(wall_clock_limit, capsys):
     assert code == 0
     assert out["formula"].startswith("(and (and (R (* t 1/10007))")
     assert "(* " * 5002 + "s s)" in out["formula"]
+
+
+def test_formula_parse_and_eval_read_back_the_chi_at_a_large_prime(wall_clock_limit, capsys):
+    # the text emit-chi prints at p = 10007 nests 5003 levels deep; parse
+    # prints it back byte for byte, and eval decides it with t and s set
+    chi = ("formula", "emit-chi", "--p", "10007", "--taue", "1", "--tauf", "1")
+    with wall_clock_limit(2):
+        _code, emitted = _main_json(capsys, *chi)
+        text = emitted["formula"]
+        code, out = _main_json(capsys, "formula", "parse", "--formula", text)
+        assert code == 0 and out["formula"] == text
+        for s, want in (("5", True), ("2", False)):
+            closed = re.sub(r"\bs\b", s, re.sub(r"\bt\b", "10007", text))
+            code, out = _main_json(capsys, "formula", "eval", "--field", "X", "--p", "10007",
+                                   "--formula", closed)
+            assert code == 0 and out == {"value": want}
+
+
+DEPTH = 3000
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("(not " * DEPTH + "(R 1/5)" + ")" * DEPTH, {"value": False}),
+        ("(R " + "(* 1 " * DEPTH + "1/5" + ")" * DEPTH + ")", {"value": False}),
+        ("(not " * DEPTH + "(exists x (= (* x x) 4))" + ")" * DEPTH, {"status": "Proven"}),
+    ],
+    ids=["not", "times-one", "not-exists"],
+)
+def test_formula_parse_and_eval_of_a_3000_deep_nesting(text, want, wall_clock_limit, capsys):
+    with wall_clock_limit(2):
+        code, out = _main_json(capsys, "formula", "parse", "--formula", text)
+        assert code == 0 and out["formula"] == text
+        code, out = _main_json(capsys, "formula", "eval", "--field", "X", "--p", "5",
+                               "--formula", text)
+    assert code == 0 and out == want
 
 
 def test_closure_root_at_a_large_inert_prime_answers_fast(wall_clock_limit, capsys):

@@ -9,7 +9,6 @@ from prime_scope.closure import has_root_in_closure
 from prime_scope.dense import (
     Ball,
     WitnessReport,
-    ball_member,
     d_witness,
     simultaneous_ball,
     ud_witness,
@@ -27,6 +26,8 @@ from prime_scope.errors import (
 from prime_scope.numberfield import KPoly, NumberField
 from prime_scope.primes import PrimeType, primes_above, valuation
 from prime_scope.qpoly import parse_poly
+
+from oracles import ball_member
 
 Q = NumberField(parse_poly("X"))
 GAUSS = NumberField(parse_poly("X^2+1"))

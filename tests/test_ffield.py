@@ -18,14 +18,12 @@ from prime_scope.ffield import (
     fderiv,
     fdivmod,
     ff_is_square,
-    ffield_order,
     fgcd,
     fmod,
     fmul,
     fpowmod,
     fred,
     fp_roots,
-    irreducible_poly,
     is_prime,
     poly_factor_mod_p,
     reduce_qpoly_mod_p,
@@ -36,7 +34,7 @@ from prime_scope.numberfield import KPoly, NumberField
 from prime_scope.primes import primes_above
 from prime_scope.qpoly import QPoly, parse_poly
 
-from oracles import oracle_factor_mod_p
+from oracles import ffield_order, irreducible_poly, oracle_factor_mod_p
 
 
 def _canonical_ff(p, f):

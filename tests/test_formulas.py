@@ -428,6 +428,16 @@ def test_eval_qf_quantifier_rejected():
         eval_qf(Q, 5, T11, FAll("x", FR(TVar("x"))))
 
 
+def test_eval_qf_connectives_stop_at_the_deciding_operand():
+    # the inverse of zero after the deciding operand is never evaluated
+    no_value = FR(TInv(TConst(0)))
+    assert eval_qf(Q, 5, T11, parse_formula("(and (= 1 2) (R (inv 0)))")) is False
+    assert eval_qf(Q, 5, T11, parse_formula("(or (= 1 1) (R (inv 0)))")) is True
+    assert eval_qf(Q, 5, T11, FImp(FEq(TConst(1), TConst(2)), no_value)) is True
+    with pytest.raises(InverseOfZero):
+        eval_qf(Q, 5, T11, FAnd((FEq(TConst(1), TConst(1)), no_value)))
+
+
 def test_eval_qf_vector_constant():
     # [0, 1] is a root of X^2+1, a unit above 5
     phi = r_unit(TConst((Fraction(0), Fraction(1))))
@@ -493,6 +503,16 @@ def test_eval_bounded_connective_three_valuing():
     assert eval_bounded(Q, 5, T11, FAnd((unknown, true)), 30).status == "Unknown"
     assert eval_bounded(Q, 5, T11, FOr((unknown, true)), 30).status == "Proven"
     assert eval_bounded(Q, 5, T11, FNot(unknown), 30).status == "Unknown"
+
+
+def test_eval_bounded_is_linear_in_the_depth_of_negations(wall_clock_limit):
+    # the quantifier-free test runs once over the tree, not once per level
+    depth = 3 * sys.getrecursionlimit()
+    text = "(not " * depth + "(exists x (= (* x x) 4))" + ")" * depth
+    with wall_clock_limit(2):
+        v = eval_bounded(Q, 5, T11, parse_formula(text), height_bound=200)
+    assert v.status == ("Proven" if depth % 2 == 0 else "Refuted")
+    assert v.witness is None
 
 
 def test_eval_verdict_json():
@@ -622,6 +642,33 @@ def test_roundtrip_emitted_chi_and_nu():
             emitted = [emit_chi(p, tau)] + [emit_nu(p, tau, n) for n in (1, 2, 3)]
             for phi in emitted:
                 assert parse_formula(print_formula(phi)) == phi
+
+
+def test_deep_trees_parse_and_evaluate(wall_clock_limit):
+    depth = 3 * sys.getrecursionlimit()
+    negations = "(not " * depth + "(R 1/5)" + ")" * depth
+    product = "(R " + "(* 1 " * depth + "1/5" + ")" * depth + ")"
+    with wall_clock_limit(2):
+        for text, want in ((negations, depth % 2 == 1), (product, False)):
+            phi = parse_formula(text)
+            assert print_formula(phi) == text
+            assert eval_qf(Q, 5, T11, phi) is want
+            assert print_formula(substitute(phi, {"x": TConst(3)})) == text
+
+
+def test_chi_at_a_large_prime_reads_back_and_matches_chi_member(wall_clock_limit):
+    # s^((p-1)/2) is a left-nested product 5003 deep
+    tau = T11
+    P = primes_above(Q, 10007)[0]
+    t = Q.rational(10007)
+    with wall_clock_limit(2):
+        text = print_formula(emit_chi(10007, tau))
+        chi = parse_formula(text)
+        assert print_formula(chi) == text
+        for s in (Q.rational(5), Q.rational(2)):
+            closed = substitute(chi, {"t": TConst(t), "s": TConst(s)})
+            assert eval_qf(Q, 10007, tau, closed) is chi_member(P, tau, t, s)
+    assert chi_member(P, tau, t, Q.rational(5)) and not chi_member(P, tau, t, Q.rational(2))
 
 
 # ---------------------------------------------------------------------------

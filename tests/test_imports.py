@@ -3,7 +3,8 @@ from a sibling, every private module-level function is used in its module,
 no function re-imports from a sibling its module imports at top level, no
 assert statement stands in for a self-check, every parameter is read, only
 the root finder loops over a whole finite field, one scan limit serves the
-two root finders, and only qpoly.power runs a square-and-multiply loop."""
+two root finders, only qpoly.power runs a square-and-multiply loop, and a
+formula walk calls itself only through the walk driver."""
 
 import ast
 import pathlib
@@ -222,3 +223,40 @@ def test_only_the_power_kernel_squares_and_multiplies():
             if shifts or (any(map(_squares, body)) and any(map(_reads_a_bit, body))):
                 found.append(f"{path.name}:{loop.lineno}")
     assert allowed and not found, found
+
+
+def test_a_formula_walk_calls_itself_only_through_the_driver():
+    # a walk over a formula tree yields each sub-walk to formulas._run, so a
+    # deep tree never reaches the Python stack; only _phi_term and MPoly's
+    # horner call themselves directly, once per variable of phi_n
+    path = SRC / "formulas.py"
+    tree = ast.parse(path.read_text(), str(path))
+    parent = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    walks, direct = set(), []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in ("_phi_term", "horner"):
+            continue
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Name) and node.id == fn.name
+                or isinstance(node, ast.Attribute) and node.attr == fn.name
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            ):
+                continue
+            call = parent[id(node)]
+            if isinstance(call, ast.Call) and call.func is node and isinstance(
+                parent[id(call)], ast.Yield
+            ):
+                walks.add(f"{fn.name}:{fn.lineno}")
+            else:
+                direct.append(f"formulas.py:{node.lineno} {fn.name}")
+    assert not direct, direct
+    # parse, substitute, evaluation, the quantifier-free test and eval_bounded
+    assert len(walks) >= 5, sorted(walks)
+    raised = [
+        f"{p.name}:{node.lineno}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit"
+    ]
+    assert not raised, raised

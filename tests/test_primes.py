@@ -11,7 +11,6 @@ import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
 from prime_scope.ffield import (
     ff_is_square,
-    ffield_order,
     fmul,
     fred,
     is_prime,
@@ -37,7 +36,7 @@ from prime_scope.qpoly import QPoly, parse_poly
 from prime_scope.squares import kochen
 from prime_scope.suite import FIELD_CORPUS
 
-from oracles import oracle_dedekind_applies
+from oracles import ffield_order, oracle_dedekind_applies
 
 GAUSS = nf_create("X^2+1")
 RAT = nf_create("X")

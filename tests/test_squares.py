@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 
 from prime_scope.errors import InvariantViolated, Negative, PreconditionViolated
-from prime_scope.ffield import FF, ff_is_square, irreducible_poly, is_prime, reduce_qpoly_mod_p
+from prime_scope.ffield import FF, ff_is_square, is_prime, reduce_qpoly_mod_p
 from prime_scope.numberfield import KPoly, NumberField, elements_by_height, square_root
 from prime_scope.primes import primes_above, valuation
 from prime_scope.qpoly import parse_poly
@@ -21,6 +21,8 @@ from prime_scope.squares import (
     no_short_representation_check,
     r_infinity_member,
 )
+
+from oracles import irreducible_poly
 
 Q = NumberField(parse_poly("X"))
 GAUSS = NumberField(parse_poly("X^2+1"))
