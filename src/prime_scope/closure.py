@@ -34,8 +34,9 @@ v(Y - lift(r)) >= 1, so it is no larger.  Hence at every depth the children's
 reductions have degrees summing to at most deg H, there are at most deg H
 nodes per depth, and at most deg H (2D+2) nodes in all.  The roots of each
 reduction come from localdata.ff_poly_roots: a scan of k_P when q = #k_P is
-small, a split by powers modulo the reduction, O(log q) products each, when
-q is large.  Children are visited in residue-key order.
+small (ffield.fp_roots on integer coefficients when k_P = F_p), a split by
+powers modulo the reduction, O(log q) products each, when q is large.
+Children are visited in residue-key order.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ SEARCH_NODE_CAP = 2_000_000
 
 class RootReport:
     """Outcome of has_root_in_closure with a recomputable certificate."""
+
+    __slots__ = ("has_root", "certificate")
 
     def __init__(self, has_root: bool, certificate: dict):
         self.has_root = has_root

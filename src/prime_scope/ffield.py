@@ -20,10 +20,11 @@ Factorization is squarefree split + distinct-degree + equal-degree
 the distinct-degree split.  For p <= SCAN_LIMIT, the order up to which
 localdata.ff_poly_roots scans a residue field, the distinct-degree stage
 takes the linear factors from one scan of F_p (``fp_roots``: Horner on every
-element at once) and divides them out; the root-free cofactor is irreducible
-below degree 4, and only from degree 4 up does it take Frobenius powers
-X^(p^d), from d = 2.  So below the limit no equal-degree split runs for a
-linear factor.  The equal-degree randomness is drawn from a PRNG seeded
+element at once, the scan that ff_poly_roots runs over a residue field F_p)
+and divides them out; the root-free cofactor is irreducible below degree 4,
+and only from degree 4 up does it take Frobenius powers X^(p^d), from d = 2.
+So below the limit no equal-degree split runs for a linear factor.  The
+equal-degree randomness is drawn from a PRNG seeded
 deterministically from the input polynomial and p, so results never depend
 on run order, and made only when an equal-degree split runs.
 ``hensel_lift`` lifts a factorization into pairwise coprime factors mod p to

@@ -42,26 +42,55 @@ from .qpoly import QPoly, power
 
 
 # ---------------------------------------------------------------------------
-# term and formula ASTs (structurally compared and hashed).  Nodes are not
-# frozen, so a node that is shared or used as a key must not be changed.
+# term and formula ASTs (structurally compared and hashed, from a stack like
+# every other walk).  Nodes are not frozen, so a node that is shared or used
+# as a key must not be changed.
 # ---------------------------------------------------------------------------
 
 
-class Term:
+class _Node:
     __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if not isinstance(a, _Node):
+                if a != b:
+                    return False
+            elif a is not b:
+                if type(a) is not type(b):
+                    return False
+                pa, pb = _parts(a), _parts(b)
+                if len(pa) != len(pb):
+                    return False
+                pairs.extend(zip(pa, pb))
+        return True
+
+    def __hash__(self):
+        def walk(node):
+            hs = [type(node)]
+            for part in _parts(node):
+                hs.append((yield walk(part)) if isinstance(part, _Node) else hash(part))
+            return hash(tuple(hs))
+
+        return _run(walk(self))
 
     def __repr__(self):
         return print_formula(self)
 
 
-class Formula:
+class Term(_Node):
     __slots__ = ()
 
-    def __repr__(self):
-        return print_formula(self)
+
+class Formula(_Node):
+    __slots__ = ()
 
 
-_node = dataclass(slots=True, unsafe_hash=True, repr=False)
+_node = dataclass(slots=True, eq=False, repr=False)
 
 
 @_node

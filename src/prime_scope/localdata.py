@@ -7,8 +7,9 @@ form (int tuples, lowest degree first) with coefficients reduced into [0, m).
 The module has no polynomial arithmetic of its own: the blocks are lifted by
 ``ffield.hensel_lift``, whose self-checks reverify the defining identities at
 each doubling step.  ``ff_poly_roots`` answers the closure search and the
-no-short check over a residue field F_q = ffield.FF(p, hbar), on numberfield's
-KPoly (QPoly's arithmetic with FFElem coefficients).
+no-short check over a residue field F_q = ffield.FF(p, hbar): a small F_p by
+``ffield.fp_roots`` on the coefficient ints, any other on numberfield's KPoly
+(QPoly's arithmetic with FFElem coefficients).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .ffield import (
     fdivmod,
     fgcd,
     fmul,
+    fp_roots,
     fred,
     fsub,
     ftrim,
@@ -96,17 +98,21 @@ def dedekind_applies(f: QPoly, p: int, factors) -> bool:
 def ff_poly_roots(field: FF, coeffs: list[FFElem]) -> list[FFElem]:
     """All roots in `field` of a polynomial with FFElem coefficients, sorted
     by the canonical element key; the one root finder over F_q.  A field of
-    order q <= SCAN_LIMIT is scanned in key order.  A larger one is split
-    deterministically, in memory independent of q: for odd p by the shifts a
-    in key order, those outside F_p (keys p, ..., q-1) first, since for even
-    f every element of F_p is a square in F_q and never separates two roots
-    in F_p; for p = 2 by the trace of a Y for a = Y, ..., Y^(f-1), 1."""
+    order q <= SCAN_LIMIT is scanned in key order: F_p by ffield.fp_roots on
+    the coefficient ints, F_q for f >= 2 by evaluation at each element.  A
+    larger one is split deterministically, in memory independent of q: for
+    odd p by the shifts a in key order, those outside F_p (keys p, ..., q-1)
+    first, since for even f every element of F_p is a square in F_q and
+    never separates two roots in F_p; for p = 2 by the trace of a Y for
+    a = Y, ..., Y^(f-1), 1."""
     h, q = KPoly(field, coeffs), field.order
     if h.is_zero:
         raise ZeroElement("root set of the zero polynomial")
     if h.degree == 0:
         return []
     if q <= SCAN_LIMIT:
+        if field.f == 1:
+            return [field.element([r]) for r in fp_roots([c.coeffs[0] for c in h.coeffs], q)]
         return [r for r in field.elements() if not h(r)]
     one = KPoly(field, [field.one()])
     x = KPoly(field, [field.zero(), field.one()])

@@ -5,8 +5,9 @@ runs QPoly's ring arithmetic on FieldElement or FFElem coefficients.
 A field is created from a monic polynomial whose irreducibility over Q is
 decided for every degree, by factoring mod small primes and recombining
 Hensel lifts (a reducible polynomial is refused with a factor as witness);
-elements are coordinate vectors over the power basis 1, a, ..., a^{n-1},
-and square_root decides exactly whether one is a square in K.
+elements are coordinate vectors over the power basis 1, a, ..., a^{n-1}
+(over Q, degree 1, products and inverses are taken on the one Fraction
+coordinate), and square_root decides exactly whether one is a square in K.
 Orderings correspond to the real roots of f, each carried as a fixed rational
 isolating interval; every sign query is one exact Cauchy-index count on that
 interval, and floats never enter.
@@ -184,6 +185,8 @@ class NumberField:
         return self.element([0, 1])
 
     def rational(self, q) -> "FieldElement":
+        if self.degree == 1:
+            return FieldElement(self, (Fraction(q),))
         return self.element([Fraction(q)])
 
     @cached_property
@@ -284,6 +287,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self.field.degree == 1:  # Q computes on its rational coordinate
+            return FieldElement(self.field, (self.coords[0] * o.coords[0],))
         prod = self.as_qpoly() * o.as_qpoly()
         return self.field.element(prod.coeffs)
 
@@ -292,6 +297,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
+        if self.field.degree == 1:
+            return FieldElement(self.field, (1 / self.coords[0],))
         # the chain of f and our representative g ends in a constant c, as f
         # is irreducible; s_(i+1) = s_(i-1) - q_i s_i from s_0 = 0, s_1 = 1
         # folds its quotients into the Bezout cofactor, s_k g = c mod f

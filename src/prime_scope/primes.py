@@ -184,6 +184,9 @@ class PValuation:
         """residue(x) for an x the caller knows to be a P-unit, without
         computing its valuation again."""
         p = self.p
+        if x.is_rational():  # num * den^-1 mod p
+            c = x.coords[0]
+            return self.residue_field.element([c.numerator * pow(c.denominator, -1, p)])
         den = math.lcm(*(c.denominator for c in x.coords))
         k = vp_int(den, p)
         d0_inv = pow(den // p**k, -1, p)

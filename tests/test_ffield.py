@@ -272,9 +272,11 @@ def _brute_roots(F, cs):
 
 
 # every (p, f) with p in 2, 3, 5, 7 and f in 1, 2, 3, then larger fields on
-# both sides of the scan limit of ff_poly_roots: q = 128, 169 below it and
-# q = 243, 256, 289, 512 above it, where the splitter runs
+# both sides of the scan limit of ff_poly_roots: q = 97, 128, 169, 199 below
+# it (F_p by fp_roots, F_q for f >= 2 by KPoly evaluation) and q = 211, 243,
+# 256, 289, 512 above it, where the splitter runs
 _ROOT_FIELDS = [(p, f) for f in (1, 2, 3) for p in (2, 3, 5, 7)]
+_ROOT_FIELDS += [(97, 1), (199, 1), (211, 1)]
 _ROOT_FIELDS += [(2, 7), (13, 2), (3, 5), (2, 8), (17, 2), (2, 9)]
 
 

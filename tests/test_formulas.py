@@ -671,6 +671,24 @@ def test_chi_at_a_large_prime_reads_back_and_matches_chi_member(wall_clock_limit
     assert chi_member(P, tau, t, Q.rational(5)) and not chi_member(P, tau, t, Q.rational(2))
 
 
+def test_a_deep_tree_compares_and_hashes(wall_clock_limit):
+    # equality and hashing walk the 5003-deep chi tree from a stack
+    with wall_clock_limit(2):
+        chi = emit_chi(10007, T11)
+        back = parse_formula(print_formula(chi))
+        assert chi is not back and chi == back and not chi != back
+        assert hash(chi) == hash(back) and len({chi, back}) == 1
+        assert chi != emit_chi(10009, T11)
+    # 5000-deep chains that differ only at the bottom, or only in a node type
+    a, b, c = TVar("s"), TVar("s"), TVar("t")
+    for _ in range(5000):
+        a, b, c = TMul(a, TVar("s")), TMul(b, TVar("s")), TMul(c, TVar("s"))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and b != c
+    assert TMul(a, TConst(1)) != TAdd(b, TConst(1))
+    assert FNot(FEq(a, TConst(1))) != FNot(FEq(TAdd(TVar("s"), TVar("s")), TConst(1)))
+
+
 # ---------------------------------------------------------------------------
 # chi consistency and nu discharge
 # ---------------------------------------------------------------------------

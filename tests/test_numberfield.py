@@ -217,6 +217,54 @@ def test_field_axioms_random():
             assert (a ** 3) * (a ** -3) == K.one()
 
 
+def _seeded_rationals(seed, count):
+    rng = random.Random(seed)
+    return [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("text", ["X", "X+5"])
+def test_degree_one_arithmetic_agrees_with_fraction(text):
+    K = nf_create(text)
+    assert K.gen().as_fraction() == Fraction(-K.poly.coeff(0))
+    qs = _seeded_rationals(17, 60)
+    for a, b in zip(qs, qs[1:]):
+        x, y = K.rational(a), K.rational(b)
+        assert (x * y).coords == (a * b,)
+        assert (x * b).coords == (b * x).coords == (a * b,)
+        assert (x + y).coords == (a + b,) and (x - y).coords == (a - b,)
+        if b:
+            assert (x / y).coords == (x / b).coords == (a / b,)
+            assert y.inverse().coords == (1 / b,)
+            assert (a / y).coords == (a / b,)
+            for k in range(-4, 5):
+                assert (y ** k).coords == (b ** k,)
+    with pytest.raises(DivisionByZero):
+        K.zero().inverse()
+
+
+def test_degree_one_multiply_and_inverse_skip_the_polynomial_ring(monkeypatch):
+    # Q computes on its one rational coordinate: no QPoly product, no
+    # remainder chain; Q(i) still takes both
+    def refuse(*args):
+        raise AssertionError("polynomial machinery reached")
+
+    monkeypatch.setattr(QPoly, "__mul__", refuse)
+    monkeypatch.setattr(numberfield_module, "remainder_chain", refuse)
+    for text in ("X", "X+5"):
+        K = nf_create(text)
+        for b in _seeded_rationals(23, 20):
+            y = K.rational(b)
+            assert (y * y).coords == (b * b,)
+            if b:
+                assert (y ** -3).coords == (b ** -3,)
+                assert (K.one() / y).coords == (1 / b,)
+    i = nf_create("X^2+1").gen()
+    with pytest.raises(AssertionError, match="polynomial machinery"):
+        i * i
+    with pytest.raises(AssertionError, match="polynomial machinery"):
+        i.inverse()
+
+
 def test_generator_satisfies_defining_polynomial():
     K = nf_create("X^3-2")
     alpha = K.gen()
