@@ -8,7 +8,7 @@ the sums-of-squares side (four squares, levels, the Kochen operator).
 """
 
 from .config import Config, DEFAULT
-from .qpoly import QPoly, cyclotomic, parse_poly, format_poly
+from .qpoly import QPoly, parse_poly, format_poly
 from .ffield import FF, FFElem, poly_factor_mod_p
 from .numberfield import (
     FieldElement,
@@ -74,7 +74,6 @@ __all__ = [
     "Config",
     "DEFAULT",
     "QPoly",
-    "cyclotomic",
     "parse_poly",
     "format_poly",
     "FF",

@@ -81,7 +81,9 @@ class RootReport:
         return f"RootReport({self.has_root}, {self.certificate})"
 
 
-def _require_monic_nonconstant(g: KPoly) -> None:
+def require_monic_nonconstant(g: KPoly) -> None:
+    """NonMonic unless g is monic of degree >= 1, as every closure question
+    asks, at a p-adic place or an ordering."""
     if g.degree < 1:
         raise NonMonic("polynomial must be nonconstant")
     if not g.is_monic:
@@ -123,7 +125,7 @@ def _integralize(P: PValuation, h: KPoly) -> tuple[KPoly, int]:
 
 def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
     """Does monic g acquire a zero in the closure of (K, P)?"""
-    _require_monic_nonconstant(g)
+    require_monic_nonconstant(g)
     if isinstance(P, Ordering):
         count = g.count_roots_in_ordering(P, None, None)
         return RootReport(count > 0, {"kind": "ordering", "sturm_count": count})
@@ -237,13 +239,16 @@ def padic_root(
     """x in K with v(g(x)) >= k, following the Hensel certificate of
     has_root_in_closure by Newton steps, then canonically truncated so that
     the digits of the answer are a prefix of the digits of the actual root
-    (internally the target is pushed to k + v(g') to make that exact)."""
-    _require_monic_nonconstant(g)
-    if k > precision_cap:
-        raise PrecisionOverflow(f"target valuation {k} above precision cap")
+    (internally the target is pushed to k + v(g') to make that exact).
+
+    The search runs first, so a g with no root raises NoRoot even when k is
+    above precision_cap as well."""
+    require_monic_nonconstant(g)
     report, H, shift = _padic_search(P, g)
     if not report.has_root:
         raise NoRoot("polynomial has no root in the closure at this prime")
+    if k > precision_cap:
+        raise PrecisionOverflow(f"target valuation {k} above precision cap")
     cert = report.certificate
     dH = H.derivative()
     # work on the integral model; translate the target accordingly, and

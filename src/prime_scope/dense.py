@@ -11,6 +11,11 @@ enumeration.  ``weak_approx_value`` solves the multiplicative analogue
 (prescribed valuations at finitely many primes above one p), and
 ``zgroup_witness`` uses it to witness the value-group axiom scheme.
 
+Each witness decides its closure question once: the search that builds a
+place's local witness is the one that decides whether g has a root there
+(``closure.padic_root`` at a p-adic place, one Sturm sequence of (g, g') at
+an ordering), so no existence test runs before it.
+
 Every search is deterministic and every returned witness is re-verified with
 exact arithmetic before it leaves this module; a WitnessReport never contains
 an unchecked claim.
@@ -20,19 +25,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import DEFAULT, Config
 from .errors import (
     LocalWitnessInvalid,
     NonDisjoint,
     NoneWithinBound,
+    NoRoot,
     NoRootInClosure,
     PrecisionOverflow,
     Unsupported,
     ZeroElement,
     check,
 )
-from .closure import has_root_in_closure, padic_root
+from .closure import padic_root, require_monic_nonconstant
 from .ffield import bezout_lift, fdivmod, fext_gcd, fmul, fred
 from .numberfield import (
     FieldElement,
@@ -41,6 +48,7 @@ from .numberfield import (
     Ordering,
     elements_by_height,
     format_element,
+    sturm_variations,
 )
 from .primes import PValuation, primes_above, primes_of_type, valuation
 
@@ -132,50 +140,70 @@ def _defining_check(P, g: KPoly, a: FieldElement, x: FieldElement):
 # ---------------------------------------------------------------------------
 
 
-def ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: bool):
-    """Bisect toward a real root of squarefree(g) until |g(x)| <= |a|
-    (strict < |a| when ``strict``).  Returns (x, steps).
+def _ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: bool):
+    """(x, steps) with |g(x)| <= |a| (strict < |a| when ``strict``), or None
+    when g has no root in the real closure at P.
 
-    Deterministic rule: scan unit intervals [n, n+1] for n = 0, 1, -1, 2, -2,
-    ... until one contains a root (an exact integer root returns immediately),
-    then repeatedly halve, keeping the left half iff it still contains a root,
-    testing the target inequality at each midpoint.  Termination: g -> 0
-    along the shrinking bracket and a != 0.
+    One signed remainder sequence of (g, g') decides the place and drives the
+    search (numberfield.sturm_variations).  Deterministic rule: scan unit
+    intervals [n, n+1] for n = 0, 1, -1, 2, -2, ... until one contains a root
+    (an exact integer root returns immediately), then halve at most `cap`
+    times, keeping the left half iff it still contains a root, testing the
+    target inequality at each midpoint.  `steps` counts the scanned
+    intervals and the halvings.  Termination: g -> 0 along the shrinking
+    bracket and a != 0.
     """
+    require_monic_nonconstant(g)
+    at = sturm_variations(P, g)
+    if at(None, -1) == at(None, 1):
+        return None
     K = P.field
-    h = g.squarefree_part()
     aa = a * a
     want = (lambda s: s > 0) if strict else (lambda s: s >= 0)
+    # each integer ends two unit intervals, scanned at most two steps apart
+    at_int = lru_cache(maxsize=4)(lambda k: at(Fraction(k)))
     steps = 0
-
-    def hits(x: Fraction) -> bool:
-        gx = g(K.rational(x))
-        return want(P.sign(aa - gx * gx))
-
-    lo = hi = None
     n = 0
     while True:
         steps += 1
-        if h(K.rational(n)).is_zero:
-            # an exact root of h is a root of g, so |g| = 0 < |a| there
+        if g(K.rational(n)).is_zero:
+            # an exact root, so |g| = 0 < |a| there
             return K.rational(n), steps
-        if h.count_roots_in_ordering(P, Fraction(n), Fraction(n + 1)) > 0:
-            lo, hi = Fraction(n), Fraction(n + 1)
+        # n is no root, so this counts a root in (n, n + 1]: a simple root
+        # n + 1 is counted in, and at a repeated one no variations are left
+        if at_int(n) > at_int(n + 1):
+            lo, hi, v_lo = Fraction(n), Fraction(n + 1), at_int(n)
             break
         n = -n if n > 0 else -n + 1
         if n > 10**6:
             raise PrecisionOverflow("no unit interval bracketing a real root was found")
 
-    while steps < cap:
+    for _ in range(cap):
         steps += 1
         mid = (lo + hi) / 2
-        if hits(mid):
+        gx = g(K.rational(mid))
+        if want(P.sign(aa - gx * gx)):
             return K.rational(mid), steps
-        if h.count_roots_in_ordering(P, lo, mid) > 0:
+        # mid is no root here, as |g(mid)| = 0 would have hit
+        v_mid = at(mid)
+        if v_lo > v_mid:
             hi = mid
         else:
-            lo = mid
+            lo, v_lo = mid, v_mid
     raise PrecisionOverflow(f"ordering bisection did not converge within {cap} steps")
+
+
+def _local_witness(P, g: KPoly, a: FieldElement, config: Config, strict: bool):
+    """(x, steps) with 1 - g(x)^2 a^(-2) in O_P (strictly inside at an
+    ordering when ``strict``), or None when g has no root in the closure at
+    P: the search that builds the witness is the one that decides P."""
+    if isinstance(P, Ordering):
+        return _ordering_witness(P, g, a, config.precision_cap, strict)
+    k = max(1, valuation(P, a))
+    try:
+        return padic_root(P, g, k, precision_cap=config.precision_cap), k
+    except NoRoot:
+        return None
 
 
 def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> WitnessReport:
@@ -186,20 +214,13 @@ def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> Witness
     """
     if a.is_zero:
         raise ZeroElement("d_witness needs a nonzero a")
-    if not has_root_in_closure(P, g):
+    found = _local_witness(P, g, a, config, strict=False)
+    if found is None:
         raise NoRootInClosure(f"g has no root in the closure at {P!r}")
-
-    if isinstance(P, Ordering):
-        x, steps = ordering_witness(P, g, a, config.precision_cap, strict=False)
-        bound = config.precision_cap
-    else:
-        k = max(1, valuation(P, a))
-        x = padic_root(P, g, k, precision_cap=config.precision_cap)
-        steps, bound = k, config.precision_cap
-
+    x, steps = found
     ok, chk = _defining_check(P, g, a, x)
     check(ok, "witness failed the defining membership it was built for")
-    return WitnessReport(x, [(P, chk)], {"bound": bound, "steps": steps})
+    return WitnessReport(x, [(P, chk)], {"bound": config.precision_cap, "steps": steps})
 
 
 # ---------------------------------------------------------------------------
@@ -444,49 +465,40 @@ def simultaneous_ball(
 def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> WitnessReport:
     """One x with 1 - g(x)^2 a^(-2) in O_P for every P in S admitting a root.
 
-    Primes of S where g has no root in the closure are dropped (S_g filter);
-    an empty S_g is witnessed vacuously by 0.  Otherwise the per-prime
-    d_witness solutions are merged through simultaneous_ball: the p-adic
-    condition v(g(x)) >= v(a) is the ball |g(x)| < |a/t| at radius parameter
-    a/t, and the ordering condition is relaxed to the strict ball |g(x)| < |a|
-    (a strict local witness always exists since g vanishes at its root).
+    Each place is decided by the search for its local witness, and the
+    places where g has no root in the closure are dropped (S_g filter); an
+    empty S_g is witnessed vacuously by 0, and a single place by its local
+    witness.  Otherwise the local witnesses are merged through
+    simultaneous_ball: the p-adic condition v(g(x)) >= v(a) is the ball
+    |g(x)| < |a/t| at radius parameter a/t, and the ordering condition is
+    relaxed to the strict ball |g(x)| < |a| (a strict local witness always
+    exists since g vanishes at its root).
     """
     if a.is_zero:
         raise ZeroElement("ud_witness needs a nonzero a")
-    S_g = [P for P in S if has_root_in_closure(P, g)]
-    if not S_g:
-        return WitnessReport(K.zero(), [], {"bound": config.height_bound, "steps": 0})
+    S_g, balls, locals_ = [], [], []
+    steps = 0
+    for P in S:
+        found = _local_witness(P, g, a, config, strict=True)
+        if found is None:
+            continue
+        S_g.append(P)
+        locals_.append(found[0])
+        steps += found[1]
+        balls.append(Ball(P, K.zero(), a if isinstance(P, Ordering) else a / P.uniformizer))
 
-    balls, locals_, gammas = [], [], []
-    total_steps = 0
-    for P in S_g:
-        if isinstance(P, Ordering):
-            x_p, st = ordering_witness(P, g, a, config.precision_cap, strict=True)
-            balls.append(Ball(P, K.zero(), a))
-            total_steps += st
-        else:
-            rep = d_witness(P, g, a, config)
-            x_p = rep.witness
-            balls.append(Ball(P, K.zero(), a / P.uniformizer))
-            total_steps += rep.search_stats["steps"]
-        locals_.append(x_p)
-        gammas.append((g, None))
-
-    if len(S_g) == 1 and isinstance(S_g[0], PValuation):
-        # single p-adic prime: the local witness already is the answer and is
-        # the canonical one; skip the CRT detour
-        merged = WitnessReport(locals_[0], [], {"bound": config.height_bound, "steps": 0})
+    if len(S_g) <= 1:
+        x = locals_[0] if S_g else K.zero()
     else:
-        merged = simultaneous_ball(K, balls, locals_, gammas, config)
-    x = merged.witness
+        merged = simultaneous_ball(K, balls, locals_, [(g, None)] * len(S_g), config)
+        x = merged.witness
+        steps += merged.search_stats["steps"]
     verified = []
     for P in S_g:
         ok, chk = _defining_check(P, g, a, x)
         check(ok, "merged witness failed the defining membership")
         verified.append((P, chk))
-    return WitnessReport(
-        x, verified, {"bound": config.height_bound, "steps": total_steps + merged.search_stats["steps"]}
-    )
+    return WitnessReport(x, verified, {"bound": config.height_bound, "steps": steps})
 
 
 # ---------------------------------------------------------------------------

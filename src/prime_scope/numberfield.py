@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, product
 from math import isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DivisionByZero, FormulaSyntaxError, NotMonic, Reducible, check
 from .ffield import (
@@ -504,18 +504,31 @@ class KPoly(QPoly):
     ) -> int:
         """Distinct roots (in the real closure at P) in (lo, hi]; None means
         the corresponding infinity."""
-        seq = sturm_sequence(self, self.derivative())
-
-        def var_at(x: Fraction | None, plus: bool) -> int:
-            if x is None:  # at -infinity an odd degree flips the sign
-                return sign_changes([P.sign(p.lc) * (1 if plus else (-1) ** p.degree)
-                                     for p in seq])
-            return sign_changes([P.sign(p(self.field.rational(x))) for p in seq])
-
-        return var_at(lo, plus=False) - var_at(hi, plus=True)
+        at = sturm_variations(P, self)
+        return at(lo, -1) - at(hi, 1)
 
     def __repr__(self):
         return f"KPoly([{', '.join(map(repr, self.coeffs))}])"
+
+
+def sturm_variations(P: Ordering, g: KPoly) -> Callable[..., int]:
+    """at(x, side=1): the sign variations under P of the signed remainder
+    sequence of (g, g') at the rational x, or at side * infinity when x is
+    None.  The sequence is built once, here, and read at every point.
+
+    For a < b not roots of g, at(a) - at(b) counts the distinct roots of g
+    in (a, b) in the real closure at P (qpoly.sturm_sequence: g need not be
+    squarefree); at a simple root b the count takes in b, and at a repeated
+    root every element vanishes, so at(b) = 0 < at(a)."""
+    seq = sturm_sequence(g, g.derivative())
+
+    def at(x: Fraction | None, side: int = 1) -> int:
+        if x is None:  # at -infinity an odd degree flips the sign
+            return sign_changes([P.sign(p.lc) * (side if p.degree % 2 else 1) for p in seq])
+        y = P.field.rational(x)
+        return sign_changes([P.sign(p(y)) for p in seq])
+
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ zero polynomial has an empty coefficient tuple and degree -1.  The ring
 methods ask of a coefficient only + - * and truth for "nonzero"; the rest of
 the coefficient ring enters through hooks that KPoly overrides (_new, _zero,
 _one, _inverse, _coerce), never once per coefficient.  The methods for Q
-alone (sign_at, isolate_real_roots, ...) are QPoly's too.  No floats anywhere.
+alone (isolate_real_roots, root_bound, ...) are QPoly's too.  No floats anywhere.
 
 One Euclidean loop, remainder_chain, serves both classes: the gcd,
-squarefree part, resultant and signed remainder sequence read its chain, and
-field inverses fold its quotients.  Over Q the Sturm counts of root
+squarefree part and resultant methods and the signed remainder sequence read
+its chain, and field inverses fold its quotients.  Over Q the Sturm counts of root
 isolation and of numberfield's ordering signs run on integers instead:
 integer_sturm_chain gives primitive integer pseudo-remainders, each a
 positive multiple of the matching sturm_sequence element, and chain_signs
@@ -26,9 +26,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from itertools import count
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FormulaSyntaxError, check
 
@@ -83,10 +82,6 @@ class QPoly:
     @staticmethod
     def constant(c) -> "QPoly":
         return QPoly((Fraction(c),))
-
-    @staticmethod
-    def monomial(c, k: int) -> "QPoly":
-        return QPoly([0] * k + [Fraction(c)])
 
     # --- coefficient-ring hooks, overridden by numberfield.KPoly ------------
     def _new(self, coeffs) -> "QPoly":
@@ -273,13 +268,22 @@ class QPoly:
 
     # --- gcd and friends ---------------------------------------------------
     def gcd(self, other: "QPoly") -> "QPoly":
-        return poly_gcd(self, self._operand(other))
+        """Monic gcd, the chain's last remainder; zero when both are zero."""
+        return remainder_chain(self, self._operand(other))[0][-1].monic()
 
     def squarefree_part(self) -> "QPoly":
-        return poly_squarefree_part(self)
+        """self / gcd(self, self'), made monic: the product of the distinct
+        irreducible factors, over a field of characteristic 0."""
+        g = self.gcd(self.derivative())
+        if g.degree <= 0:
+            return self.monic()
+        q, r = divmod(self, g)
+        check(r.is_zero, "gcd(p, p') does not divide p")
+        return q.monic()
 
     def resultant(self, other: "QPoly") -> Fraction:
-        return poly_resultant(self, self._operand(other))
+        """Res(self, other) = lc(self)^{deg other} * prod other(root of self)."""
+        return chain_resultant(remainder_chain(self, self._operand(other))[0])
 
     def discriminant(self) -> Fraction:
         n = self.degree
@@ -290,11 +294,6 @@ class QPoly:
         return s * res / self.lc
 
     # --- real-root machinery -------------------------------------------------
-    def sign_at(self, x) -> int:
-        """The sign of self at the rational x, read on its primitive integer
-        multiple."""
-        return chain_signs([_primitive(self.coeffs)], x)[0]
-
     def root_bound(self) -> Fraction:
         """Cauchy bound: all real roots lie in (-B, B)."""
         if self.degree < 1:
@@ -412,27 +411,6 @@ def chain_signs(chain: Sequence[Sequence[int]], x) -> list[int]:
     return out
 
 
-def poly_gcd(a, b):
-    """Monic gcd, the chain's last remainder; zero when both inputs are zero."""
-    return remainder_chain(a, b)[0][-1].monic()
-
-
-def poly_squarefree_part(p):
-    """p / gcd(p, p'), made monic: the product of the distinct irreducible
-    factors of p, over a field of characteristic 0."""
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    q, r = divmod(p, g)
-    check(r.is_zero, "gcd(p, p') does not divide p")
-    return q.monic()
-
-
-def poly_resultant(f, g):
-    """Res(f, g) = lc(f)^{deg g} * prod g(root of f)."""
-    return chain_resultant(remainder_chain(f, g)[0])
-
-
 def chain_resultant(rems):
     """Res(r_0, r_1) read off their remainder chain r_0, ..., r_k by
     Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg(a % b)) Res(b, a % b),
@@ -457,27 +435,6 @@ def sign_changes(signs: list[int]) -> int:
             n += 1
         prev = s
     return n
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials
-# ---------------------------------------------------------------------------
-
-_CYCLO_CACHE: dict[int, QPoly] = {}
-
-
-def cyclotomic(n: int) -> QPoly:
-    """n-th cyclotomic polynomial, exact, by recursive division of X^n - 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    xn1 = QPoly.monomial(1, n) - QPoly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            xn1 = xn1.exact_div(cyclotomic(d))
-    _CYCLO_CACHE[n] = xn1
-    return xn1
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +526,3 @@ def rationals_of_height(h: int) -> list[Fraction]:
                 out += (Fraction(num, den), Fraction(-num, den))
     return out
 
-
-def rationals_by_height() -> Iterator[Fraction]:
-    """0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, ...: ordered by height
-    max(|num|, den), then denominator, then |num|, positives first."""
-    yield Fraction(0)
-    for h in count(1):
-        yield from rationals_of_height(h)

@@ -4,7 +4,8 @@ Everything here is exact: four-square decompositions come from one
 deterministic descent and are verified by re-summation, the level of F_q is
 read off q mod 4, and the short-representation check either certifies that
 no x up to the height bound has any y in K completing a representation, or
-hands back the tuple that breaks it.
+hands back the tuple that breaks it.  The totally nonnegative witness of
+d_sos_witness is dense.ud_witness over the orderings of K.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .config import DEFAULT, Config
-from .dense import Ball, WitnessReport, ordering_witness, simultaneous_ball
+from .dense import WitnessReport, ud_witness
 from .errors import (
     InvariantViolated,
     Negative,
@@ -428,34 +429,20 @@ def d_sos_witness(
 ) -> WitnessReport:
     """x with eps^2 - g(x)^2 totally nonnegative, for odd-degree g.
 
-    Odd degree forces a real root of g under every ordering, so the integer
-    bracket plus midpoint bisection from the denseness engine lands inside
-    |g| < |eps| at each of them; several orderings are merged through
-    simultaneous_ball.  The witness is re-verified with r_infinity_member
-    before it is returned.
+    Odd degree forces a real root of g under every ordering, so this is
+    ud_witness over the orderings of K: |g(x)| < |eps| at each of them.  A
+    g that is not monic is passed as g / lc(g) with eps / lc(g), which has
+    the same roots and the same defining membership.  The witness is
+    re-verified with r_infinity_member before it is returned.
     """
-    if g.degree % 2 != 1:
+    if g.is_zero or g.degree % 2 != 1:
         raise PreconditionViolated("g must have odd degree", clause="odd-degree")
     if eps.is_zero:
         raise PreconditionViolated("eps must be nonzero", clause="epsilon-nonzero")
-    orderings = K.orderings()
-    locals_ = []
-    steps = 0
     try:
-        for P in orderings:
-            w, took = ordering_witness(P, g, eps, config.precision_cap, strict=True)
-            locals_.append(w)
-            steps += took
+        report = ud_witness(K, K.orderings(), g.monic(), eps / g.lc, config)
     except PrecisionOverflow as exc:
         raise NoneWithinBound(f"per-ordering bisection gave out: {exc.detail}")
-    if len(orderings) == 1:
-        x = locals_[0]
-    else:
-        balls = [Ball(P, K.zero(), eps) for P in orderings]
-        report = simultaneous_ball(K, balls, locals_, [(g, None)] * len(orderings), config)
-        x = report.witness
-        steps += report.search_stats.get("steps", 0)
-    value = eps * eps - g(x) * g(x)
-    check(r_infinity_member(K, value), "eps^2 - g(x)^2 is not totally nonnegative")
-    verified = [(P, P.sign(value)) for P in orderings]
-    return WitnessReport(x, verified, {"bound": config.height_bound, "steps": steps})
+    gx = g(report.witness)
+    check(r_infinity_member(K, eps * eps - gx * gx), "eps^2 - g(x)^2 is not totally nonnegative")
+    return report

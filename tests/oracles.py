@@ -12,6 +12,7 @@ package itself has no use for them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 import sympy
 from sympy import Poly, Symbol
@@ -19,7 +20,7 @@ from sympy import Poly, Symbol
 from prime_scope.errors import ZeroElement
 from prime_scope.numberfield import Ordering
 from prime_scope.primes import valuation
-from prime_scope.qpoly import QPoly
+from prime_scope.qpoly import QPoly, rationals_of_height
 
 X = Symbol("x")
 
@@ -211,3 +212,39 @@ def ball_member(ball, x) -> bool:
     if isinstance(ball.prime, Ordering):
         return ball.prime.sign(ball.radius * ball.radius - d * d) > 0
     return valuation(ball.prime, d) > valuation(ball.prime, ball.radius)
+
+
+def monomial(c, k: int) -> QPoly:
+    """c X^k."""
+    return QPoly([0] * k + [Fraction(c)])
+
+
+_CYCLO_CACHE: dict[int, QPoly] = {}
+
+
+def cyclotomic(n: int) -> QPoly:
+    """n-th cyclotomic polynomial, exact, by recursive division of X^n - 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n in _CYCLO_CACHE:
+        return _CYCLO_CACHE[n]
+    xn1 = monomial(1, n) - QPoly.one()
+    for d in range(1, n):
+        if n % d == 0:
+            xn1 = xn1.exact_div(cyclotomic(d))
+    _CYCLO_CACHE[n] = xn1
+    return xn1
+
+
+def rationals_by_height():
+    """0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, ...: ordered by height
+    max(|num|, den), then denominator, then |num|, positives first."""
+    yield Fraction(0)
+    for h in count(1):
+        yield from rationals_of_height(h)
+
+
+def sign_at(f: QPoly, x) -> int:
+    """The sign of f at the rational x."""
+    v = f(Fraction(x))
+    return (v > 0) - (v < 0)

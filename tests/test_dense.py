@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from prime_scope.closure import has_root_in_closure
+import prime_scope.closure as closure_module
+import prime_scope.numberfield as numberfield_module
+from prime_scope.closure import has_root_in_closure, padic_root
+from prime_scope.config import Config
 from prime_scope.dense import (
     Ball,
     WitnessReport,
@@ -19,7 +22,9 @@ from prime_scope.errors import (
     IndexDivisible,
     LocalWitnessInvalid,
     NonDisjoint,
+    NoRoot,
     NoRootInClosure,
+    PrecisionOverflow,
     Unsupported,
     ZeroElement,
 )
@@ -116,6 +121,85 @@ def test_d_witness_exists_whenever_root_exists():
         rep = d_witness(P, g, a)
         gx = g(rep.witness)
         assert valuation(P, K.one() - gx * gx * a**-2) >= 0
+
+
+def test_d_witness_ordering_far_roots():
+    # the unit-interval scan does not spend the bisection cap: a root at 3000
+    # is bracketed by [2999, 3000] after 5998 intervals, and one halving hits
+    left = d_witness(ORD, kp(Q, "X+3000"), Q.one())
+    assert left.witness == Q.rational(-3000)
+    assert left.search_stats["steps"] == 6001
+    right = d_witness(ORD, kp(Q, "X-3000"), Q.one())
+    assert right.witness == Q.rational(Fraction(5999, 2))
+    assert right.search_stats["steps"] == 5999
+
+
+def test_ordering_bisection_cap_counts_halvings():
+    g, a = kp(Q, "X^2-2"), Q.rational(Fraction(1, 100))
+    # 181/128 is the 7th midpoint after the bracket [1, 2]
+    assert d_witness(ORD, g, a, Config(precision_cap=7)).search_stats["steps"] == 9
+    with pytest.raises(PrecisionOverflow):
+        d_witness(ORD, g, a, Config(precision_cap=6))
+
+
+def test_missing_root_is_reported_before_an_over_cap_target():
+    # no root of X^2+1 in Q_3, and v_3(a) = 5 above the precision cap 4
+    g, a, config = kp(Q, "X^2+1"), Q.rational(3**5), Config(precision_cap=4)
+    with pytest.raises(NoRootInClosure):
+        d_witness(P3, g, a, config)
+    rep = ud_witness(Q, [P3, P5], g, a, config)
+    assert [P for P, _ in rep.verified_at] == [P5]
+    with pytest.raises(NoRoot):
+        padic_root(P3, g, 5, precision_cap=4)
+    with pytest.raises(PrecisionOverflow):
+        padic_root(P5, g, 5, precision_cap=4)
+
+
+def _count_decisions(monkeypatch):
+    """Counters on the p-adic search and on the Sturm sequence of an ordering."""
+    calls = {"padic": 0, "sturm": 0}
+    search, sturm = closure_module._padic_search, numberfield_module.sturm_sequence
+
+    def counted_search(P, g):
+        calls["padic"] += 1
+        return search(P, g)
+
+    def counted_sturm(p, q):
+        calls["sturm"] += 1
+        return sturm(p, q)
+
+    monkeypatch.setattr(closure_module, "_padic_search", counted_search)
+    monkeypatch.setattr(numberfield_module, "sturm_sequence", counted_sturm)
+    return calls
+
+
+def test_each_place_is_decided_once(monkeypatch):
+    calls = _count_decisions(monkeypatch)
+    d_witness(P5, kp(Q, "X^2+1"), Q.rational(125))
+    assert calls == {"padic": 1, "sturm": 0}
+    calls.update(padic=0)
+    d_witness(ORD, kp(Q, "X^2-2"), Q.rational(Fraction(1, 100)))
+    assert calls == {"padic": 0, "sturm": 1}
+    calls.update(sturm=0)
+    with pytest.raises(NoRootInClosure):
+        d_witness(P3, kp(Q, "X^2+1"), Q.rational(3))
+    assert calls == {"padic": 1, "sturm": 0}
+    calls.update(padic=0)
+    # P3 and ORD have no root of X^2+1; P5 has one
+    ud_witness(Q, [P5, P3, ORD], kp(Q, "X^2+1"), Q.rational(25))
+    assert calls == {"padic": 2, "sturm": 1}
+    calls.update(padic=0, sturm=0)
+    ud_witness(Q, [P5, ORD], kp(Q, "X^2-6"), Q.rational(25))
+    assert calls == {"padic": 1, "sturm": 1}
+
+
+def test_ud_single_ordering_is_its_local_witness():
+    # the bisection answer itself, as for a single p-adic place; merging
+    # through the height enumeration gave 17/12 after 342 more steps
+    rep = ud_witness(Q, [ORD], kp(Q, "X^2-2"), Q.rational(Fraction(1, 100)))
+    assert rep.witness == Q.rational(Fraction(181, 128))
+    assert rep.search_stats["steps"] == 9
+    assert rep.verified_at == [(ORD, 1)]
 
 
 # --- weak approximation -----------------------------------------------------

@@ -260,3 +260,38 @@ def test_a_formula_walk_calls_itself_only_through_the_driver():
         if isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit"
     ]
     assert not raised, raised
+
+
+def _calls(tree, name: str) -> list:
+    """The call nodes of a module that call `name`, as a function or a method."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+        )
+    ]
+
+
+def test_each_witness_decides_its_closure_question_once():
+    # a witness search decides its place itself: no separate existence test
+    # before it, and no squarefree part, since the Sturm sequence of (g, g')
+    # counts distinct roots
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = [
+        f"{name} calls {callee}"
+        for name, callees in (
+            ("dense.py", ("has_root_in_closure", "squarefree_part")),
+            ("squares.py", ("has_root_in_closure",)),
+        )
+        for callee in callees
+        if _calls(trees[name], callee)
+    ]
+    assert not found, found
+    # simultaneous_ball merges local witnesses for ud_witness alone
+    callers = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and _calls(fn, "simultaneous_ball"):
+                callers.append(f"{name}:{fn.name}")
+    assert callers == ["dense.py:ud_witness"], callers

@@ -9,7 +9,6 @@ import pytest
 import sympy
 
 import prime_scope.numberfield as numberfield_module
-import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import DivisionByZero, NotMonic, Reducible
 from prime_scope.ffield import factor_fpoly, fred
 from prime_scope.numberfield import (
@@ -20,10 +19,15 @@ from prime_scope.numberfield import (
     nf_create,
     parse_element,
 )
-from prime_scope.qpoly import QPoly, parse_poly, rationals_by_height, sign_changes, sturm_sequence
+from prime_scope.qpoly import QPoly, parse_poly, sign_changes, sturm_sequence
 from prime_scope.suite import FIELD_CORPUS
 
-from oracles import oracle_distinct_real_root_count, oracle_is_irreducible_over_q
+from oracles import (
+    oracle_distinct_real_root_count,
+    oracle_is_irreducible_over_q,
+    rationals_by_height,
+    sign_at,
+)
 
 
 # --- creation and certification -------------------------------------------
@@ -78,13 +82,13 @@ def test_squarefree_polynomial_with_bad_small_primes_certifies(monkeypatch):
         assert any(e > 1 for _, e in factor_fpoly(fred(fz, p), p))
     assert factor_fpoly(fred(fz, 23), 23) == [(fred(fz, 23), 1)]
     gcds = []
-    gcd = qpoly_module.poly_gcd
+    gcd = QPoly.gcd
 
     def counted(a, b):
         gcds.append(a)
         return gcd(a, b)
 
-    monkeypatch.setattr(qpoly_module, "poly_gcd", counted)
+    monkeypatch.setattr(QPoly, "gcd", counted)
     nf_create("X^2+1")  # irreducible mod 3: no rational gcd at all
     assert gcds == []
     nf_create(f)
@@ -331,7 +335,7 @@ SWINNERTON_DYER_8 = "X^8-40*X^6+352*X^4-960*X^2+576"
 
 def variations(seq, x):
     """Sign variations of a QPoly sequence at the rational x."""
-    return sign_changes([p.sign_at(x) for p in seq])
+    return sign_changes([sign_at(p, x) for p in seq])
 
 
 def _refined_sign(O, x):
@@ -347,8 +351,8 @@ def _refined_sign(O, x):
         mid = (lo + hi) / 2
         while f(mid) == 0:
             mid = (lo + mid) / 2
-        lo, hi = (lo, mid) if f.sign_at(lo) * f.sign_at(mid) < 0 else (mid, hi)
-    return g.sign_at(lo)
+        lo, hi = (lo, mid) if sign_at(f, lo) * sign_at(f, mid) < 0 else (mid, hi)
+    return sign_at(g, lo)
 
 
 def _root_within(O, eps):
@@ -359,7 +363,7 @@ def _root_within(O, eps):
         mid = (lo + hi) / 2
         if f(mid) == 0:
             return mid
-        lo, hi = (lo, mid) if f.sign_at(lo) * f.sign_at(mid) < 0 else (mid, hi)
+        lo, hi = (lo, mid) if sign_at(f, lo) * sign_at(f, mid) < 0 else (mid, hi)
     return lo
 
 

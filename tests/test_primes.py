@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 import prime_scope.primes as primes_module
-import prime_scope.qpoly as qpoly_module
 from prime_scope.errors import IndexDivisible, NegativeValuation, Unsupported
 from prime_scope.ffield import (
     ff_is_square,
@@ -697,7 +696,7 @@ def test_valuation_takes_no_resultant(monkeypatch):
     def refuse(f, g):
         raise AssertionError("valuation took a resultant")
 
-    monkeypatch.setattr(qpoly_module, "poly_resultant", refuse)
+    monkeypatch.setattr(QPoly, "resultant", refuse)
     for K, p, pinned in cases:
         for coords, want in pinned:
             x = K.element(coords)

@@ -5,7 +5,11 @@ import tracemalloc
 import pytest
 from fractions import Fraction
 
-from prime_scope.errors import InvariantViolated, Negative, PreconditionViolated
+import prime_scope.numberfield as numberfield_module
+from prime_scope.config import Config
+from prime_scope.dense import ud_witness
+
+from prime_scope.errors import InvariantViolated, Negative, NoneWithinBound, PreconditionViolated
 from prime_scope.ffield import FF, ff_is_square, is_prime, reduce_qpoly_mod_p
 from prime_scope.numberfield import KPoly, NumberField, elements_by_height, square_root
 from prime_scope.primes import primes_above, valuation
@@ -535,6 +539,10 @@ def test_d_sos_requires_odd_degree():
     with pytest.raises(PreconditionViolated) as exc:
         d_sos_witness(Q, kp(Q, "X^2+1"), Q.one())
     assert exc.value.clause == "odd-degree"
+    # the zero polynomial has degree -1, which is odd only to Python's %
+    with pytest.raises(PreconditionViolated) as exc:
+        d_sos_witness(Q, KPoly(Q, []), Q.one())
+    assert exc.value.clause == "odd-degree"
 
 
 def test_d_sos_requires_nonzero_eps():
@@ -546,3 +554,41 @@ def test_d_sos_requires_nonzero_eps():
 def test_d_sos_json_witness():
     w = d_sos_witness(Q, kp(Q, "X^3-2"), Q.one())
     assert w.to_json()["witness"] == "5/4"
+
+
+SMALL = Config(height_bound=100)
+
+
+def test_d_sos_is_ud_witness_over_the_orderings():
+    rng = random.Random(24)
+    fields = [NumberField(parse_poly(t)) for t in ("X", "X^2-2", "X^3-2", "X^3-3*X+1", "X^2+1")]
+    for _ in range(40):
+        K = rng.choice(fields)
+        deg = rng.choice((1, 3))
+        g = KPoly(K, [K.element([rng.randint(-4, 4) for _ in range(K.degree)])
+                      for _ in range(deg)] + [K.one()])
+        eps = K.rational(Fraction(1, rng.randint(1, 8)))
+        try:
+            ud = ud_witness(K, K.orderings(), g, eps, SMALL)
+        except NoneWithinBound:
+            with pytest.raises(NoneWithinBound):
+                d_sos_witness(K, g, eps, SMALL)
+            continue
+        sos = d_sos_witness(K, g, eps, SMALL)
+        assert sos.witness == ud.witness, (K, g)
+        assert sos.verified_at == ud.verified_at
+        assert sos.search_stats == ud.search_stats
+
+
+def test_d_sos_decides_each_ordering_once(monkeypatch):
+    sturm = numberfield_module.sturm_sequence
+    calls = []
+
+    def counted(p, q):
+        calls.append(p)
+        return sturm(p, q)
+
+    monkeypatch.setattr(numberfield_module, "sturm_sequence", counted)
+    a = SQRT2.gen()
+    d_sos_witness(SQRT2, KPoly(SQRT2, [-a, SQRT2.zero(), SQRT2.zero(), SQRT2.one()]), SQRT2.one())
+    assert len(calls) == 2
