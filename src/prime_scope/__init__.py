@@ -35,10 +35,8 @@ from .primes import (
 )
 from .closure import RootReport, has_root_in_closure, padic_root
 from .dense import (
-    Ball,
     WitnessReport,
     d_witness,
-    simultaneous_ball,
     ud_witness,
     weak_approx_value,
     zgroup_witness,
@@ -101,10 +99,8 @@ __all__ = [
     "RootReport",
     "has_root_in_closure",
     "padic_root",
-    "Ball",
     "WitnessReport",
     "d_witness",
-    "simultaneous_ball",
     "ud_witness",
     "weak_approx_value",
     "zgroup_witness",

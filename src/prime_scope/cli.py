@@ -505,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit(obj, text, config):
-    if config.output == "text" and text is not None:
+def _emit(obj, text, output):
+    if output == "text" and text is not None:
         sys.stdout.write(text + "\n")
-    elif config.output == "text":
+    elif output == "text":
         sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
@@ -517,18 +517,18 @@ def _emit(obj, text, config):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = Config(args.height_bound, args.precision_cap, args.output)
+    config = Config(args.height_bound, args.precision_cap)
     try:
         code, obj, text = args.handler(args, config)
     except InvariantViolated as exc:
-        _emit(exc.to_json(), None, config)
+        _emit(exc.to_json(), None, args.output)
         return 3
     except PrimeScopeError as exc:
-        _emit(exc.to_json(), None, config)
+        _emit(exc.to_json(), None, args.output)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(2, f"usage error: {exc}\n")
-    _emit(obj, text, config)
+    _emit(obj, text, args.output)
     return code
 
 

@@ -127,7 +127,7 @@ def has_root_in_closure(P: Prime, g: KPoly) -> RootReport:
     """Does monic g acquire a zero in the closure of (K, P)?"""
     require_monic_nonconstant(g)
     if isinstance(P, Ordering):
-        count = g.count_roots_in_ordering(P, None, None)
+        count = g.count_roots_in_ordering(P)
         return RootReport(count > 0, {"kind": "ordering", "sturm_count": count})
     return _padic_search(P, g)[0]
 
@@ -262,11 +262,13 @@ def padic_root(
             check(b != "inf", "hensel certificate with finite v(g) has v(g') = inf")
             goal = target_H + b  # so the truncation agrees with the true root
             guard = 0
-            while P.valuation(H(x)) < goal:
-                x = x - H(x) / dH(x)
+            hx = H(x)
+            while P.valuation(hx) < goal:
+                x = x - hx / dH(x)
                 guard += 1
                 if guard > 64:
                     raise PrecisionOverflow("newton iteration failed to converge")
+                hx = H(x)
         y = _canonical_truncation(P, x, target_H)
         if shift:
             y = y * P.uniformizer ** (-shift)
@@ -283,7 +285,7 @@ def verify_root_report(P: Prime, g: KPoly, report: RootReport) -> bool:
     search that produced it.  Positive hensel certificates recompute both
     valuations; ordering certificates recount; exhaustion reruns the search."""
     if isinstance(P, Ordering):
-        count = g.count_roots_in_ordering(P, None, None)
+        count = g.count_roots_in_ordering(P)
         cert = report.certificate
         return (
             cert.get("kind") == "ordering"

@@ -11,6 +11,11 @@ enumeration.  ``weak_approx_value`` solves the multiplicative analogue
 (prescribed valuations at finitely many primes above one p), and
 ``zgroup_witness`` uses it to witness the value-group axiom scheme.
 
+The condition has one test, ``_defining_check``: the ordering bisection, the
+merge and every report read r = 1 - g(x)^2 a^(-2) once per point and decide
+v_P(r) >= 0 at a p-adic place and sign_P(r) >= 0 (> 0 when strict) at an
+ordering.
+
 Each witness decides its closure question once: the search that builds a
 place's local witness is the one that decides whether g has a root there
 (``closure.padic_root`` at a p-adic place, one Sturm sequence of (g, g') at
@@ -29,7 +34,6 @@ from functools import lru_cache
 
 from .config import DEFAULT, Config
 from .errors import (
-    LocalWitnessInvalid,
     NonDisjoint,
     NoneWithinBound,
     NoRoot,
@@ -57,31 +61,12 @@ def _val_str(v) -> str:
     return "inf" if v == math.inf else str(v)
 
 
-class Ball:
-    """An open ball at one prime: p-adic v(x-y) > v(z), ordering |x-y| < |z|.
-
-    z is a radius *parameter*, not a radius: only v(z) (resp. |z|) matters.
-    """
-
-    __slots__ = ("prime", "center", "radius")
-
-    def __init__(self, prime, center: FieldElement, radius: FieldElement):
-        if radius.is_zero:
-            raise ZeroElement("ball radius parameter must be nonzero")
-        self.prime = prime
-        self.center = center
-        self.radius = radius
-
-    def __repr__(self):
-        return f"Ball({self.prime!r}, y={self.center!r}, z={self.radius!r})"
-
-
 class WitnessReport:
     """Outcome of a witness search.
 
     witness     -- the found element, or None
     verified_at -- list of (prime, exact check value) pairs; every entry was
-                   recomputed from scratch on the final witness
+                   computed exactly on the final witness
     search_stats -- {"bound": ..., "steps": ...}
     """
 
@@ -105,32 +90,28 @@ class WitnessReport:
         return f"WitnessReport(witness={self.witness!r}, checks={len(self.verified_at)})"
 
 
-def _ball_check(ball: Ball, value: FieldElement):
-    """(member?, exact check value) for value against the ball."""
-    d = value - ball.center
-    if isinstance(ball.prime, Ordering):
-        s = ball.prime.sign(ball.radius * ball.radius - d * d)
-        return s > 0, s
-    dv = valuation(ball.prime, d)
-    return dv > valuation(ball.prime, ball.radius), dv
-
-
 # ---------------------------------------------------------------------------
 # the defining membership 1 - g(x)^2 a^(-2) in O_P, checked exactly
 # ---------------------------------------------------------------------------
 
 
-def _defining_check(P, g: KPoly, a: FieldElement, x: FieldElement):
-    """(holds?, check value) for 1 - g(x)^2/a^2 in the holomorphy ring at P.
-
-    The check value is the valuation (p-adic) or the sign (ordering) of the
-    quantity itself, so a report reader can re-derive the verdict.
-    """
+def _defect(g: KPoly, x: FieldElement, inv_a2: FieldElement) -> FieldElement:
+    """r = 1 - g(x)^2 a^(-2), from a^(-2) formed once per search."""
     gx = g(x)
-    r = P.field.one() - gx * gx * (a ** -2)
+    return x.field.one() - gx * gx * inv_a2
+
+
+def _defining_check(P, r: FieldElement, strict: bool):
+    """(holds?, check value) for r = 1 - g(x)^2 a^(-2) in the holomorphy ring
+    at P: v_P(r) >= 0 at a p-adic place, sign_P(r) >= 0 at an ordering, and
+    sign_P(r) > 0, that is |g(x)| < |a|, there when ``strict``.
+
+    The check value is the valuation (p-adic) or the sign (ordering) of r
+    itself, so a report reader can re-derive the verdict.
+    """
     if isinstance(P, Ordering):
         s = P.sign(r)
-        return s >= 0, s
+        return (s > 0 if strict else s >= 0), s
     v = valuation(P, r)
     return v >= 0, v
 
@@ -141,15 +122,15 @@ def _defining_check(P, g: KPoly, a: FieldElement, x: FieldElement):
 
 
 def _ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: bool):
-    """(x, steps) with |g(x)| <= |a| (strict < |a| when ``strict``), or None
-    when g has no root in the real closure at P.
+    """(x, steps) with 1 - g(x)^2 a^(-2) >= 0 at P (> 0 when ``strict``), or
+    None when g has no root in the real closure at P.
 
     One signed remainder sequence of (g, g') decides the place and drives the
     search (numberfield.sturm_variations).  Deterministic rule: scan unit
     intervals [n, n+1] for n = 0, 1, -1, 2, -2, ... until one contains a root
     (an exact integer root returns immediately), then halve at most `cap`
     times, keeping the left half iff it still contains a root, testing the
-    target inequality at each midpoint.  `steps` counts the scanned
+    defining check at each midpoint.  `steps` counts the scanned
     intervals and the halvings.  Termination: g -> 0 along the shrinking
     bracket and a != 0.
     """
@@ -158,8 +139,7 @@ def _ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: 
     if at(None, -1) == at(None, 1):
         return None
     K = P.field
-    aa = a * a
-    want = (lambda s: s > 0) if strict else (lambda s: s >= 0)
+    inv_a2 = a ** -2
     # each integer ends two unit intervals, scanned at most two steps apart
     at_int = lru_cache(maxsize=4)(lambda k: at(Fraction(k)))
     steps = 0
@@ -181,9 +161,9 @@ def _ordering_witness(P: Ordering, g: KPoly, a: FieldElement, cap: int, strict: 
     for _ in range(cap):
         steps += 1
         mid = (lo + hi) / 2
-        gx = g(K.rational(mid))
-        if want(P.sign(aa - gx * gx)):
-            return K.rational(mid), steps
+        x = K.rational(mid)
+        if _defining_check(P, _defect(g, x, inv_a2), strict)[0]:
+            return x, steps
         # mid is no root here, as |g(mid)| = 0 would have hit
         v_mid = at(mid)
         if v_lo > v_mid:
@@ -218,7 +198,7 @@ def d_witness(P, g: KPoly, a: FieldElement, config: Config = DEFAULT) -> Witness
     if found is None:
         raise NoRootInClosure(f"g has no root in the closure at {P!r}")
     x, steps = found
-    ok, chk = _defining_check(P, g, a, x)
+    ok, chk = _defining_check(P, _defect(g, x, a ** -2), False)
     check(ok, "witness failed the defining membership it was built for")
     return WitnessReport(x, [(P, chk)], {"bound": config.precision_cap, "steps": steps})
 
@@ -342,83 +322,62 @@ def weak_approx_value(K: NumberField, parts) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# simultaneous ball approximation
+# the merge of local witnesses
 # ---------------------------------------------------------------------------
-
-
-def _gamma_eval(gamma, x: FieldElement):
-    """gamma = None (identity) or (num, den) KPoly pair; None on zero den."""
-    if gamma is None:
-        return x
-    num, den = gamma
-    d = x.field.one() if den is None else den(x)
-    if d.is_zero:
-        return None
-    return num(x) / d
 
 
 def simultaneous_ball(
     K: NumberField,
-    balls: list[Ball],
+    places: list,
     local_witnesses: list[FieldElement],
-    gammas=None,
+    g: KPoly,
+    a: FieldElement,
     config: Config = DEFAULT,
 ) -> WitnessReport:
-    """One x with gamma_j(x) inside every ball, given a verified local witness
-    per prime.
+    """One x with 1 - g(x)^2 a^(-2) in O_P at every place P, merged from a
+    local witness per place: the merge step of ud_witness.
 
-    p-adic balls are merged by CRT (x is pinned to the local witness modulo a
-    high power of each rational prime involved); ordering balls are then met
+    p-adic places are merged by CRT: x is pinned to the local witness modulo
+    p^N for each rational prime p involved, with N deep enough for
+    k = max(1, v_P(a)) and the witness denominators.  Orderings are then met
     by scanning translations x0 + M*m with m in the canonical height
-    enumeration and M the combined p-adic modulus.  Every candidate is
-    checked exactly; if the initial congruence depth is too shallow for a
-    nonlinear gamma, the depth is escalated and the search rerun.
+    enumeration and M the combined p-adic modulus.  Each candidate gets one
+    r, which every place tests with the strict defining check (|g(x)| < |a|
+    at an ordering).  With a p-adic place a failed scan is rerun 8 levels
+    deeper, up to four attempts of one more height_bound each; with orderings
+    alone the candidates do not depend on the depth, so one scan decides.
+    The checks computed on the witness found are the report's verified_at.
     """
-    if gammas is None:
-        gammas = [None] * len(balls)
-    if len(balls) != len(local_witnesses) or len(balls) != len(gammas):
-        raise ValueError("balls, local witnesses and gammas must align")
-    if not balls:
-        return WitnessReport(K.zero(), [], {"bound": config.height_bound, "steps": 0})
-
     keys = set()
-    for b in balls:
-        key = (b.prime.p, b.prime.index) if isinstance(b.prime, PValuation) else ("inf", b.prime.index)
+    for P in places:
+        key = (P.p, P.index) if isinstance(P, PValuation) else ("inf", P.index)
         if key in keys:
-            raise NonDisjoint("two balls at the same prime")
+            raise NonDisjoint("a place appears twice in the merge")
         keys.add(key)
 
-    for b, xj, gamma in zip(balls, local_witnesses, gammas):
-        val = _gamma_eval(gamma, xj)
-        if val is None:
-            raise LocalWitnessInvalid(f"gamma undefined at the local witness for {b.prime!r}")
-        ok, chk = _ball_check(b, val)
-        if not ok:
-            raise LocalWitnessInvalid(f"local witness misses its ball at {b.prime!r} (check {chk})")
+    padic = [(P, xj) for P, xj in zip(places, local_witnesses) if isinstance(P, PValuation)]
+    # congruence depth per rational prime before escalation: deep enough to
+    # cover v_P(a) and the witness denominators
+    base: dict[int, int] = {}
+    for P, xj in padic:
+        k = max(1, valuation(P, a))
+        slack = max(0, -min(valuation(P2, xj) for P2 in primes_above(K, P.p)))
+        base[P.p] = max(base.get(P.p, 0), math.ceil(Fraction(k + slack, P.e)) + 1)
 
-    padic = [(b, xj) for b, xj in zip(balls, local_witnesses) if isinstance(b.prime, PValuation)]
+    inv_a2 = a ** -2
     steps = 0
-    for attempt in range(4):
-        # congruence depth per rational prime: deep enough to cover the radius
-        # and the witness denominators, widened on each escalation
-        depth: dict[int, int] = {}
-        for b, xj in padic:
-            P = b.prime
-            k = max(1, valuation(P, b.radius) + 1)
-            slack = max(0, -min(valuation(P2, xj) for P2 in primes_above(K, P.p)))
-            need = math.ceil(Fraction(k + slack, P.e)) + 1 + 8 * attempt
-            depth[P.p] = max(depth.get(P.p, 0), need)
-
+    for attempt in range(4 if padic else 1):
         x0 = K.zero()
         modulus = 1
         if padic:
+            depth = {p: N + 8 * attempt for p, N in base.items()}
             per_p: dict[int, FieldElement] = {}
             for p, N in depth.items():
                 eps = _block_idempotents(K, p, N)
                 acc = K.zero()
-                for b, xj in padic:
-                    if b.prime.p == p:
-                        acc = acc + eps[b.prime.index] * xj
+                for P, xj in padic:
+                    if P.p == p:
+                        acc = acc + eps[P.index] * xj
                 per_p[p] = acc
                 modulus *= p**N
             for p, N in depth.items():
@@ -426,7 +385,6 @@ def simultaneous_ball(
                 x0 = x0 + K.rational(other * pow(other, -1, p**N)) * per_p[p]
             x0 = _nearest_multiple_reduce(x0, modulus)
 
-        found = None
         for m in elements_by_height(K):
             if steps >= config.height_bound * (attempt + 1):
                 break
@@ -435,23 +393,15 @@ def simultaneous_ball(
             if math.gcd(den, modulus) != 1:
                 continue
             x = x0 + K.rational(modulus) * m
+            r = _defect(g, x, inv_a2)
             checks = []
-            for b, gamma in zip(balls, gammas):
-                val = _gamma_eval(gamma, x)
-                if val is None:
-                    checks = None
-                    break
-                ok, chk = _ball_check(b, val)
+            for P in places:
+                ok, chk = _defining_check(P, r, True)
                 if not ok:
-                    checks = None
                     break
-                checks.append((b.prime, chk))
-            if checks is not None:
-                found = (x, checks)
-                break
-        if found is not None:
-            x, checks = found
-            return WitnessReport(x, checks, {"bound": config.height_bound, "steps": steps})
+                checks.append((P, chk))
+            else:
+                return WitnessReport(x, checks, {"bound": config.height_bound, "steps": steps})
     raise NoneWithinBound(
         f"no simultaneous witness within height bound {config.height_bound}"
     )
@@ -468,15 +418,16 @@ def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DE
     Each place is decided by the search for its local witness, and the
     places where g has no root in the closure are dropped (S_g filter); an
     empty S_g is witnessed vacuously by 0, and a single place by its local
-    witness.  Otherwise the local witnesses are merged through
-    simultaneous_ball: the p-adic condition v(g(x)) >= v(a) is the ball
-    |g(x)| < |a/t| at radius parameter a/t, and the ordering condition is
-    relaxed to the strict ball |g(x)| < |a| (a strict local witness always
-    exists since g vanishes at its root).
+    witness.  Otherwise the local witnesses are merged by simultaneous_ball,
+    whose checks on the merged witness are the report's verified_at.  At an
+    ordering the local witnesses and the merge meet the strict condition
+    |g(x)| < |a| (a strict local witness always exists since g vanishes at
+    its root); at a p-adic place the condition is v(g(x)) >= v(a).  Both are
+    the one defining check on r = 1 - g(x)^2 a^(-2).
     """
     if a.is_zero:
         raise ZeroElement("ud_witness needs a nonzero a")
-    S_g, balls, locals_ = [], [], []
+    S_g, locals_ = [], []
     steps = 0
     for P in S:
         found = _local_witness(P, g, a, config, strict=True)
@@ -485,18 +436,16 @@ def ud_witness(K: NumberField, S, g: KPoly, a: FieldElement, config: Config = DE
         S_g.append(P)
         locals_.append(found[0])
         steps += found[1]
-        balls.append(Ball(P, K.zero(), a if isinstance(P, Ordering) else a / P.uniformizer))
 
-    if len(S_g) <= 1:
-        x = locals_[0] if S_g else K.zero()
-    else:
-        merged = simultaneous_ball(K, balls, locals_, [(g, None)] * len(S_g), config)
-        x = merged.witness
-        steps += merged.search_stats["steps"]
+    if len(S_g) > 1:
+        merged = simultaneous_ball(K, S_g, locals_, g, a, config)
+        merged.search_stats["steps"] += steps
+        return merged
+    x = locals_[0] if S_g else K.zero()
     verified = []
     for P in S_g:
-        ok, chk = _defining_check(P, g, a, x)
-        check(ok, "merged witness failed the defining membership")
+        ok, chk = _defining_check(P, _defect(g, x, a ** -2), True)
+        check(ok, "local witness failed the defining membership")
         verified.append((P, chk))
     return WitnessReport(x, verified, {"bound": config.height_bound, "steps": steps})
 

@@ -64,7 +64,6 @@ NoRootInClosure = _make("NoRootInClosure", "Witness search requires a root in th
 
 # dense engine
 NonDisjoint = _make("NonDisjoint", "Prime sets in a weak-approximation request must be pairwise disjoint.")
-LocalWitnessInvalid = _make("LocalWitnessInvalid", "A supplied per-prime local witness fails its exact check.")
 
 # formula kit
 InverseOfZero = _make("InverseOfZero", "Formal inverse applied to a term that evaluates to zero.")

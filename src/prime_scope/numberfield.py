@@ -499,13 +499,10 @@ class KPoly(QPoly):
         return acc
 
     # --- real-root counting relative to an ordering ------------------------
-    def count_roots_in_ordering(
-        self, P: Ordering, lo: Fraction | None, hi: Fraction | None
-    ) -> int:
-        """Distinct roots (in the real closure at P) in (lo, hi]; None means
-        the corresponding infinity."""
+    def count_roots_in_ordering(self, P: Ordering) -> int:
+        """Distinct roots in the real closure at P."""
         at = sturm_variations(P, self)
-        return at(lo, -1) - at(hi, 1)
+        return at(None, -1) - at(None, 1)
 
     def __repr__(self):
         return f"KPoly([{', '.join(map(repr, self.coeffs))}])"

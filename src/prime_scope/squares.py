@@ -430,7 +430,8 @@ def d_sos_witness(
     """x with eps^2 - g(x)^2 totally nonnegative, for odd-degree g.
 
     Odd degree forces a real root of g under every ordering, so this is
-    ud_witness over the orderings of K: |g(x)| < |eps| at each of them.  A
+    ud_witness over the orderings of K: the strict defining check
+    1 - g(x)^2 eps^(-2) > 0, that is |g(x)| < |eps|, at each of them.  A
     g that is not monic is passed as g / lc(g) with eps / lc(g), which has
     the same roots and the same defining membership.  The witness is
     re-verified with r_infinity_member before it is returned.

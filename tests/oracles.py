@@ -4,9 +4,9 @@ These deliberately avoid the package's own algorithms: factorization and real
 root counts come from sympy, p-adic root existence from an integer-only
 residue-tree search with its own Hensel certificate, written against the
 textbook statements rather than against the package code.  The reference
-helpers at the end (a canonical F_p modulus, a multiplicative order, ball
-membership) are kept here for the tests that use them as referees; the
-package itself has no use for them.
+helpers at the end (a canonical F_p modulus, a multiplicative order) are
+kept here for the tests that use them as referees; the package itself has no
+use for them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import sympy
 from sympy import Poly, Symbol
 
 from prime_scope.errors import ZeroElement
-from prime_scope.numberfield import Ordering
-from prime_scope.primes import valuation
 from prime_scope.qpoly import QPoly, rationals_of_height
 
 X = Symbol("x")
@@ -203,15 +201,6 @@ def ffield_order(x) -> int:
         raise ZeroElement("order of zero requested")
     n = x.field.order - 1
     return next(k for k in range(1, n + 1) if n % k == 0 and x**k == x.field.one())
-
-
-def ball_member(ball, x) -> bool:
-    """x in the open ball: v(x - y) > v(z) at a p-adic prime, and
-    |x - y| < |z|, that is z^2 - (x - y)^2 > 0, at an ordering."""
-    d = x - ball.center
-    if isinstance(ball.prime, Ordering):
-        return ball.prime.sign(ball.radius * ball.radius - d * d) > 0
-    return valuation(ball.prime, d) > valuation(ball.prime, ball.radius)
 
 
 def monomial(c, k: int) -> QPoly:

@@ -201,6 +201,24 @@ def test_padic_root_57():
     assert padic_root(P, g, 2).as_fraction() == 7
 
 
+def test_padic_root_evaluates_h_once_per_newton_step(monkeypatch):
+    # 5-adic sqrt(-1) to v >= 10 takes 4 Newton steps; each reads H(x) once,
+    # and the loop test and the update share it (14 evaluations when not)
+    (P,) = primes_above(RAT, 5)
+    g = kp(RAT, "X^2+1")
+    calls = []
+    evaluate = KPoly.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(KPoly, "__call__", counted)
+    x = padic_root(P, g, 10)
+    assert x.as_fraction() == 6139557
+    assert len(calls) == 10
+
+
 def test_padic_root_no_root():
     (P,) = primes_above(RAT, 3)
     with pytest.raises(NoRoot):

@@ -1,27 +1,28 @@
-"""Witness searches: balls, D/UD witnesses, weak approximation, z-group axioms."""
+"""Witness searches: the defining check, D/UD witnesses and their merge, weak
+approximation, z-group axioms."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import prime_scope.closure as closure_module
+import prime_scope.dense as dense_module
 import prime_scope.numberfield as numberfield_module
 from prime_scope.closure import has_root_in_closure, padic_root
 from prime_scope.config import Config
 from prime_scope.dense import (
-    Ball,
     WitnessReport,
     d_witness,
-    simultaneous_ball,
     ud_witness,
     weak_approx_value,
     zgroup_witness,
 )
 from prime_scope.errors import (
     IndexDivisible,
-    LocalWitnessInvalid,
     NonDisjoint,
+    NoneWithinBound,
     NoRoot,
     NoRootInClosure,
     PrecisionOverflow,
@@ -31,8 +32,6 @@ from prime_scope.errors import (
 from prime_scope.numberfield import KPoly, NumberField
 from prime_scope.primes import PrimeType, primes_above, valuation
 from prime_scope.qpoly import parse_poly
-
-from oracles import ball_member
 
 Q = NumberField(parse_poly("X"))
 GAUSS = NumberField(parse_poly("X^2+1"))
@@ -47,25 +46,32 @@ def kp(field, text):
     return KPoly.from_qpoly(field, parse_poly(text))
 
 
-# --- balls ------------------------------------------------------------------
+# --- the defining check -----------------------------------------------------
 
 
-def test_ball_member_padic_strict():
-    b = Ball(P5, Q.zero(), Q.rational(5))
-    assert ball_member(b, Q.rational(50))  # v(50)=2 > v(5)=1
-    assert not ball_member(b, Q.rational(5))  # equality is not membership
-    assert ball_member(b, Q.zero())  # v(0)=inf
+def _check_at(P, x, a, strict):
+    """The defining check for g = X, so that r = 1 - x^2 a^(-2)."""
+    r = dense_module._defect(kp(Q, "X"), Q.rational(x), Q.rational(a) ** -2)
+    return dense_module._defining_check(P, r, strict)
 
 
-def test_ball_member_ordering():
-    b = Ball(ORD, Q.zero(), Q.rational(Fraction(1, 10)))
-    assert ball_member(b, Q.rational(Fraction(1, 100)))
-    assert not ball_member(b, Q.rational(Fraction(1, 10)))
+def test_defining_check_padic():
+    # v(x) >= v(a) is v(r) >= 0, and strict changes nothing at a p-adic place
+    for strict in (False, True):
+        assert _check_at(P5, 25, 25, strict) == (True, math.inf)  # r = 0
+        assert _check_at(P5, 50, 25, strict) == (True, 0)  # r = -3
+        assert _check_at(P5, 5, 25, strict) == (False, -2)  # r = 24/25
+        assert _check_at(P5, 0, 25, strict) == (True, 0)  # r = 1
 
 
-def test_ball_rejects_zero_radius():
-    with pytest.raises(ZeroElement):
-        Ball(P5, Q.zero(), Q.zero())
+def test_defining_check_ordering():
+    # |x| <= |a| is r >= 0; strict asks for |x| < |a|, so r = 0 fails it
+    a = Fraction(1, 10)
+    assert _check_at(ORD, Fraction(1, 100), a, True) == (True, 1)
+    assert _check_at(ORD, a, a, False) == (True, 0)
+    assert _check_at(ORD, a, a, True) == (False, 0)
+    assert _check_at(ORD, -a, a, True) == (False, 0)
+    assert _check_at(ORD, Fraction(1, 5), a, False) == (False, -1)
 
 
 # --- d_witness --------------------------------------------------------------
@@ -98,6 +104,8 @@ def test_d_witness_no_root():
 def test_d_witness_zero_a():
     with pytest.raises(ZeroElement):
         d_witness(P5, kp(Q, "X^2+1"), Q.zero())
+    with pytest.raises(ZeroElement):
+        ud_witness(Q, [P5, ORD], kp(Q, "X^2-6"), Q.zero())
 
 
 def test_d_witness_integer_root_shortcut():
@@ -266,48 +274,71 @@ def test_weak_approx_zero_target():
         weak_approx_value(Q, [([P5], Q.zero())])
 
 
-# --- simultaneous balls -----------------------------------------------------
+# --- the merge of local witnesses ------------------------------------------
 
 
 def test_simultaneous_common_center():
-    balls = [Ball(P5, Q.rational(2), Q.rational(25)), Ball(ORD, Q.rational(2), Q.rational(10))]
-    rep = simultaneous_ball(Q, balls, [Q.rational(2), Q.rational(2)])
+    # both conditions centre on the root 2 of g, where the merge lands
+    rep = ud_witness(Q, [P5, ORD], kp(Q, "X-2"), Q.rational(25))
     assert rep.witness == Q.rational(2)
-    assert all(ball_member(b, rep.witness) for b in balls)
+    assert rep.verified_at == [(P5, 0), (ORD, 1)]
 
 
 def test_simultaneous_empty():
-    rep = simultaneous_ball(Q, [], [])
+    rep = ud_witness(Q, [], kp(Q, "X^2+1"), Q.rational(3))
     assert rep.witness == Q.zero()
     assert rep.verified_at == []
+    assert rep.search_stats["steps"] == 0
 
 
 def test_simultaneous_gaussian_crt():
+    # the two primes above 5 take the local witnesses near i and -i
     Ps = primes_above(GAUSS, 5)
-    i = GAUSS.gen()
-    balls = [Ball(Ps[0], i, GAUSS.rational(5)), Ball(Ps[1], -i, GAUSS.rational(5))]
-    rep = simultaneous_ball(GAUSS, balls, [i, -i])
-    assert all(ball_member(b, rep.witness) for b in balls)
+    g, a = kp(GAUSS, "X^2+1"), GAUSS.rational(25)
+    rep = ud_witness(GAUSS, Ps, g, a)
+    assert rep.witness == GAUSS.rational(7)
+    assert rep.verified_at == [(Ps[0], 0), (Ps[1], 0)]
+    assert rep.search_stats["steps"] == 5
+
+
+def test_simultaneous_crt_and_ordering_scan():
+    # CRT pins x modulo 5^N, then the translations meet |x^2 - 6| < 25
+    rep = ud_witness(Q, [P5, ORD], kp(Q, "X^2-6"), Q.rational(25))
+    assert rep.witness == Q.rational(Fraction(-29, 6))
+    assert rep.verified_at == [(P5, 0), (ORD, 1)]
+    assert rep.search_stats["steps"] == 52
 
 
 def test_simultaneous_ordering_only():
-    b = Ball(ORD, Q.rational(Fraction(7, 5)), Q.rational(Fraction(1, 2)))
-    rep = simultaneous_ball(Q, [b], [Q.rational(Fraction(7, 5))])
-    # smallest-height rational inside (9/10, 19/10)
-    assert rep.witness == Q.one()
+    Os = SQRT2.orderings()
+    rep = ud_witness(SQRT2, Os, kp(SQRT2, "X^3-2"), SQRT2.one())
+    assert rep.witness == SQRT2.rational(Fraction(4, 3))
+    assert rep.verified_at == [(Os[0], 1), (Os[1], 1)]
+    assert rep.search_stats["steps"] == 400
 
 
-def test_simultaneous_rejects_bad_local_witness():
-    b = Ball(P5, Q.zero(), Q.rational(5))
-    with pytest.raises(LocalWitnessInvalid):
-        simultaneous_ball(Q, [b], [Q.one()])
+def test_simultaneous_ordering_only_scans_once(monkeypatch):
+    # the candidates of a merge over orderings alone do not depend on the
+    # congruence depth, so a failed scan is not repeated
+    calls = []
+    elements_by_height = dense_module.elements_by_height
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return elements_by_height(*args, **kwargs)
+
+    monkeypatch.setattr(dense_module, "elements_by_height", counted)
+    g, a = kp(SQRT2, "X^3-3"), SQRT2.rational(Fraction(1, 10))
+    with pytest.raises(NoneWithinBound):
+        ud_witness(SQRT2, SQRT2.orderings(), g, a, Config(height_bound=50))
+    assert len(calls) == 1
 
 
 def test_simultaneous_rejects_duplicate_prime():
-    b1 = Ball(P5, Q.zero(), Q.rational(25))
-    b2 = Ball(P5, Q.zero(), Q.rational(5))
-    with pytest.raises(NonDisjoint):
-        simultaneous_ball(Q, [b1, b2], [Q.zero(), Q.zero()])
+    g, a = kp(Q, "X^2-6"), Q.rational(25)
+    for S in ([P5, P5], [ORD, ORD]):
+        with pytest.raises(NonDisjoint):
+            ud_witness(Q, S, g, a)
 
 
 # --- ud_witness -------------------------------------------------------------
@@ -414,9 +445,6 @@ def test_witness_report_json():
 
 
 def test_witness_report_inf_check_serializes():
-    # witness hits the root exactly: 1 - g(x)^2/a^2 = 1, but force the inf
-    # path through a ball check at the center
-    b = Ball(P5, Q.rational(2), Q.rational(25))
-    rep = simultaneous_ball(Q, [b], [Q.rational(2)])
-    js = rep.to_json()
-    assert js["verified_at"][0]["check"] == "inf"
+    rep = WitnessReport(Q.rational(2), [(P5, math.inf), (ORD, 1)], {"bound": 1, "steps": 1})
+    checks = [entry["check"] for entry in rep.to_json()["verified_at"]]
+    assert checks == ["inf", "1"]

@@ -3,8 +3,9 @@ from a sibling, every private module-level function is used in its module,
 no function re-imports from a sibling its module imports at top level, no
 assert statement stands in for a self-check, every parameter is read, only
 the root finder loops over a whole finite field, one scan limit serves the
-two root finders, only qpoly.power runs a square-and-multiply loop, and a
-formula walk calls itself only through the walk driver."""
+two root finders, only qpoly.power runs a square-and-multiply loop, a
+formula walk calls itself only through the walk driver, and one test decides
+the denseness condition."""
 
 import ast
 import pathlib
@@ -295,3 +296,29 @@ def test_each_witness_decides_its_closure_question_once():
             if isinstance(fn, ast.FunctionDef) and _calls(fn, "simultaneous_ball"):
                 callers.append(f"{name}:{fn.name}")
     assert callers == ["dense.py:ud_witness"], callers
+
+
+def test_one_membership_test_decides_the_denseness_condition():
+    # 1 - g(x)^2 a^(-2) in O_P is decided in dense._defining_check alone: no
+    # other sign test in dense.py, no ball class, and no error for a local
+    # witness failing a second test
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    dense = trees["dense.py"]
+    (fn,) = [f for f in dense.body if getattr(f, "name", None) == "_defining_check"]
+    inside = {id(node) for node in ast.walk(fn)}
+    signs = [f"dense.py:{node.lineno}" for node in _calls(dense, "sign") if id(node) not in inside]
+    assert _calls(fn, "sign") and not signs, signs
+    balls = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Ball"
+    ]
+    assert not balls, balls
+    errors = {
+        target.id
+        for node in trees["errors.py"].body
+        for target in (node.targets if isinstance(node, ast.Assign) else [])
+        if isinstance(target, ast.Name)
+    } | {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    assert "NonDisjoint" in errors and "LocalWitnessInvalid" not in errors

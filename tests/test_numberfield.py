@@ -450,9 +450,9 @@ def test_kpoly_root_count_in_ordering():
     alpha = K.gen()
     # Y^2 - alpha: root in the real closure iff alpha > 0 there
     f = KPoly(K, [-alpha, K.zero(), K.one()])
-    assert f.count_roots_in_ordering(pos, None, None) > 0
-    assert not f.count_roots_in_ordering(neg, None, None) > 0
-    assert f.count_roots_in_ordering(pos, None, None) == 2
+    assert f.count_roots_in_ordering(pos) > 0
+    assert not f.count_roots_in_ordering(neg) > 0
+    assert f.count_roots_in_ordering(pos) == 2
 
 
 def test_kpoly_root_count_with_repeated_roots_matches_sympy():
@@ -463,7 +463,7 @@ def test_kpoly_root_count_with_repeated_roots_matches_sympy():
     for K in (nf_create("X"), nf_create("X^2-2")):
         g = KPoly.from_qpoly(K, rational)
         for P in K.orderings():
-            assert g.count_roots_in_ordering(P, None, None) == want
+            assert g.count_roots_in_ordering(P) == want
     K = nf_create("X^2-2")
     a, one = K.gen(), K.one()
     lin = KPoly(K, [-a, one])
@@ -473,7 +473,7 @@ def test_kpoly_root_count_with_repeated_roots_matches_sympy():
         image = [c.coords[0] + c.coords[1] * root2 for c in g.coeffs]
         want = oracle_distinct_real_root_count(image)
         assert want == (1 if root2 < 0 else 3)
-        assert g.count_roots_in_ordering(P, None, None) == want
+        assert g.count_roots_in_ordering(P) == want
 
 
 # canonical isolating intervals of the real fields of the suite corpus
